@@ -27,6 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro import obs
 from repro.exceptions import InvalidParameterError
 from repro.oracles.base import (
     BaseComparisonOracle,
@@ -87,8 +88,12 @@ class _StoredOracleCore:
     def _serve_one(self, code: int, flipped: bool, ask_inner, counter, tag) -> bool:
         stored = self.store.lookup(code)
         if stored is not None:
+            if obs.enabled():
+                obs.inc("store.lookup_hits")
             counter.record(cached=True, tag=tag)
             return (not stored) if flipped else stored
+        if obs.enabled():
+            obs.inc("store.lookup_misses")
         answer = bool(ask_inner())
         self.store.add_vote(code, answer)
         counter.record(tag=tag)
@@ -115,7 +120,9 @@ class _StoredOracleCore:
         hits, exactly as a scalar loop over the same queries would see.  The
         counter records every non-trivial query at the end (hits via
         ``cached_mask``), clamping to the scalar prefix on a budget overrun
-        just like the concrete oracles.
+        just like the concrete oracles.  Every non-trivial query counts once
+        in ``store.lookup_hits`` or ``store.lookup_misses``, as in the
+        scalar path, however many probe rounds it took.
         """
         m = len(codes)
         out = np.ones(m, dtype=bool)
@@ -145,6 +152,10 @@ class _StoredOracleCore:
                 rest = rest[~res_now]
             pending = rest
         out[active] = canonical ^ flipped[active]
+        if obs.enabled():
+            n_hits = int(np.count_nonzero(cached_mask))
+            obs.inc("store.lookup_hits", n_hits)
+            obs.inc("store.lookup_misses", active.size - n_hits)
         counter.record_batch(active.size, cached_mask=cached_mask, tag=tag)
         return out
 

@@ -474,9 +474,6 @@ class AnswerStore:
         # returns cached bool singletons, so neither pass allocates per key.
         hits = np.fromiter(map(index.__contains__, code_list), dtype=bool, count=m)
         n_hits = int(hits.sum())
-        if obs.enabled():
-            obs.inc("store.lookup_hits", n_hits)
-            obs.inc("store.lookup_misses", m - n_hits)
         if n_hits == m:  # warm path: every key resolved
             answers = np.fromiter(map(index.__getitem__, code_list), dtype=bool, count=m)
             return hits, answers

@@ -21,6 +21,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.exceptions import (
     InvalidParameterError,
     QueryBudgetExceededError,
@@ -934,6 +935,42 @@ class TestStoredOracles:
         assert batch_oracle.counter.snapshot() == scalar_oracle.counter.snapshot()
         store_a.close()
         store_b.close()
+
+    @pytest.mark.parametrize("kind", ["comparison", "quadruplet"])
+    def test_scalar_and_batch_paths_report_same_lookup_counters(self, tmp_path, kind):
+        # (1,2) (3,4) (1,2) (2,1) (5,6) plus a free self-comparison: the two
+        # repeats are warehouse hits, the three first occurrences misses.
+        if kind == "comparison":
+            queries = [(1, 2), (3, 4), (1, 2), (2, 1), (5, 6), (7, 7)]
+        else:
+            queries = [(1, 2, 3, 4), (3, 4, 5, 6), (2, 1, 4, 3), (3, 4, 1, 2), (0, 5, 1, 5), (2, 3, 3, 2)]
+
+        def serve(directory, batched):
+            store = AnswerStore(directory)
+            if kind == "comparison":
+                inner = ValueComparisonOracle(_values(), noise=ProbabilisticNoise(p=0.25, seed=4))
+                oracle = StoredComparisonOracle(inner, store)
+            else:
+                space = PointCloudSpace(np.random.default_rng(2).normal(size=(8, 2)))
+                inner = DistanceQuadrupletOracle(space, noise=ProbabilisticNoise(p=0.25, seed=4))
+                oracle = StoredQuadrupletOracle(inner, store)
+            registry, _ = obs.enable()
+            try:
+                if batched:
+                    oracle.compare_batch(*(np.array(column) for column in zip(*queries)))
+                else:
+                    for query in queries:
+                        oracle.compare(*query)
+            finally:
+                obs.disable()
+                store.close()
+            return registry.snapshot()["counters"]
+
+        scalar = serve(tmp_path / "scalar", batched=False)
+        batched = serve(tmp_path / "batched", batched=True)
+        assert scalar["store.lookup_hits"] == batched["store.lookup_hits"] == 2
+        assert scalar["store.lookup_misses"] == batched["store.lookup_misses"] == 3
+        assert scalar == batched
 
     def test_orientation_consistency_served_from_store(self, tmp_path):
         store = AnswerStore(tmp_path / "s")
