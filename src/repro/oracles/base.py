@@ -24,16 +24,29 @@ from repro.exceptions import InvalidParameterError
 from repro.oracles.counting import QueryCounter
 
 
+#: Largest batch the concrete oracles serve query by query in plain Python
+#: (:func:`cached_small_answers`); larger batches take the vectorised path
+#: (:func:`cached_batch_answers`).  The vectorised path costs ~55-120 us per
+#: call whatever its size, the per-query path ~1.5 us per memo hit and ~4 us
+#: per fresh query; they break even between 16 and 90 queries, depending on
+#: how many of the queries and distance pairs were seen before
+#: (docs/batch-oracle-contract.md, "Small batches").
+_SMALL_BATCH = 32
+
+
 def _as_index_arrays(*arrays) -> tuple:
     """Broadcast the given index sequences to one common 1-D int64 shape."""
     arrs = [np.asarray(a, dtype=np.int64) for a in arrays]
-    arrs = [a.reshape(-1) if a.ndim != 1 else a for a in np.broadcast_arrays(*arrs)]
-    return tuple(arrs)
+    shape = arrs[0].shape
+    if len(shape) == 1 and all(a.shape == shape for a in arrs):
+        return tuple(arrs)
+    return tuple(a.reshape(-1) for a in np.broadcast_arrays(*arrs))
 
 
 def check_index_arrays(n: int, *arrays, what: str = "record index") -> None:
     """Raise :class:`InvalidParameterError` for any index outside ``[0, n)``."""
     for arr in arrays:
+        arr = np.asarray(arr)
         if arr.size and (arr.min() < 0 or arr.max() >= n):
             bad = arr[(arr < 0) | (arr >= n)][0]
             raise InvalidParameterError(
@@ -78,6 +91,28 @@ def cached_batch_answers(cache: dict, codes: np.ndarray, compute_fresh) -> tuple
         n_cached = m
     answers = np.fromiter(map(cache.__getitem__, code_list), dtype=bool, count=m)
     return answers, n_cached, cached_mask
+
+
+def cached_small_answers(cache: dict, keys: list, compute_fresh) -> tuple:
+    """:func:`cached_batch_answers` for a short list of query keys.
+
+    Same contract, in plain Python for batches of at most ``_SMALL_BATCH``
+    queries: one memo probe per key; ``compute_fresh(miss)`` receives the
+    positions of the first occurrence of each uncached key, in batch order,
+    and returns their answers as a list; the whole batch reaches the memo
+    before the caller records it.  Returns ``(answers, cached_mask)`` as
+    lists aligned with *keys*.
+    """
+    first: dict = {}
+    cached_mask = []
+    for pos, key in enumerate(keys):
+        hit = key in cache or key in first
+        if not hit:
+            first[key] = pos
+        cached_mask.append(hit)
+    if first:
+        cache.update(zip(first, compute_fresh(list(first.values()))))
+    return [cache[key] for key in keys], cached_mask
 
 
 class BaseComparisonOracle:

@@ -6,11 +6,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.exceptions import EmptyInputError, InvalidParameterError
+from repro.exceptions import EmptyInputError
 from repro.metric.space import ValueSpace
 from repro.oracles.base import (
+    _SMALL_BATCH,
     BaseComparisonOracle,
+    _as_index_arrays,
     cached_batch_answers,
+    cached_small_answers,
     check_index_arrays,
 )
 from repro.oracles.counting import QueryCounter
@@ -59,22 +62,16 @@ class ValueComparisonOracle(BaseComparisonOracle):
     def __len__(self) -> int:
         return len(self.space)
 
-    def _check(self, i: int) -> int:
-        i = int(i)
-        if not 0 <= i < len(self.space):
-            raise InvalidParameterError(
-                f"record index {i} out of range for oracle over {len(self.space)} values"
-            )
-        return i
-
     def compare(self, i: int, j: int) -> bool:
         """Return Yes (True) when value(i) <= value(j), subject to noise.
 
         Comparing a record with itself is answered Yes without charging a
         query, mirroring the convention that ``Count`` sums over ``S \\ {v}``.
         """
-        i = self._check(i)
-        j = self._check(j)
+        i, j = int(i), int(j)
+        n = len(self.space)
+        if not (0 <= i < n and 0 <= j < n):
+            check_index_arrays(n, [i, j])
         if i == j:
             return True
         # Canonical key: orient the query so (i, j) and the reversed (j, i)
@@ -84,32 +81,32 @@ class ValueComparisonOracle(BaseComparisonOracle):
         # quadruplet codes when one noise model serves both oracle types.
         flipped = i > j
         lo, hi = (j, i) if flipped else (i, j)
-        key = -(lo * len(self.space) + hi) - 1
-        if self.cache_answers and key in self._answer_cache:
+        key = -(lo * n + hi) - 1
+        cache = self._answer_cache
+        if self.cache_answers and key in cache:
             self.counter.record(cached=True, tag=self.tag)
-            answer = self._answer_cache[key]
+            answer = cache[key]
         else:
-            answer = self.noise.answer(self.space.value(lo), self.space.value(hi), key)
+            values = self.space.values
+            answer = self.noise.answer(values.item(lo), values.item(hi), key)
             if self.cache_answers:
-                self._answer_cache[key] = answer
+                cache[key] = answer
             self.counter.record(tag=self.tag)
         return (not answer) if flipped else answer
 
     def compare_batch(self, i, j) -> np.ndarray:
         """Vectorised :meth:`compare` over index arrays.
 
-        Same equivalence contract as
+        Same equivalence contract, and the same small-batch path, as
         :meth:`repro.oracles.quadruplet.DistanceQuadrupletOracle.compare_batch`.
         """
-        i, j = np.broadcast_arrays(
-            *(np.asarray(x, dtype=np.int64).reshape(-1) for x in (i, j))
-        )
+        i, j = _as_index_arrays(i, j)
+        m = len(i)
+        if m <= _SMALL_BATCH:
+            return self._compare_small(i.tolist(), j.tolist())
         n = len(self.space)
         check_index_arrays(n, i, j)
-        m = len(i)
         out = np.ones(m, dtype=bool)
-        if m == 0:
-            return out
         lo = np.minimum(i, j)
         hi = np.maximum(i, j)
         flipped = i > j
@@ -140,6 +137,46 @@ class ValueComparisonOracle(BaseComparisonOracle):
         out[active] = answers ^ flipped[active]
         return out
 
+    def _compare_small(self, i: list, j: list) -> np.ndarray:
+        """:meth:`compare_batch` for a few queries, one Python pass per query.
+
+        The comparison counterpart of
+        :meth:`repro.oracles.quadruplet.DistanceQuadrupletOracle._compare_small`.
+        """
+        n = len(self.space)
+        indices = i + j
+        if indices and (min(indices) < 0 or max(indices) >= n):
+            check_index_arrays(n, i, j)
+        out = [True] * len(i)
+        active, keys, flips, los, his = [], [], [], [], []
+        for pos, (x, y) in enumerate(zip(i, j)):
+            if x == y:
+                continue
+            flipped = x > y
+            lo, hi = (y, x) if flipped else (x, y)
+            active.append(pos)
+            keys.append(-(lo * n + hi) - 1)
+            flips.append(flipped)
+            los.append(lo)
+            his.append(hi)
+        if not active:
+            return np.array(out, dtype=bool)
+
+        def fresh_answers(miss) -> list:
+            value = self.space.values.item
+            answer = self.noise.answer
+            return [answer(value(los[p]), value(his[p]), keys[p]) for p in miss]
+
+        if self.cache_answers:
+            answers, cached_mask = cached_small_answers(self._answer_cache, keys, fresh_answers)
+            self.counter.record_batch(len(keys), tag=self.tag, cached_mask=cached_mask)
+        else:
+            answers = fresh_answers(range(len(keys)))
+            self.counter.record_batch(len(keys), tag=self.tag)
+        for pos, answer, flipped in zip(active, answers, flips):
+            out[pos] = answer != flipped
+        return np.array(out, dtype=bool)
+
     def true_compare(self, i: int, j: int) -> bool:
         """Noise-free ground-truth comparison (used only by tests and evaluation)."""
-        return self.space.value(self._check(i)) <= self.space.value(self._check(j))
+        return self.space.value(i) <= self.space.value(j)

@@ -103,12 +103,19 @@ class QueryCounter:
         n = int(n)
         mask = None
         if cached_mask is not None:
-            mask = np.asarray(cached_mask, dtype=bool).reshape(-1)
-            if len(mask) != n:
+            if isinstance(cached_mask, list):
+                # The oracles' small-batch path: count in Python and build
+                # the array only if the budget check needs it.
+                mask_len = len(cached_mask)
+                mask_cached = sum(map(bool, cached_mask))
+            else:
+                mask = np.asarray(cached_mask, dtype=bool).reshape(-1)
+                mask_len = len(mask)
+                mask_cached = int(np.count_nonzero(mask))
+            if mask_len != n:
                 raise InvalidParameterError(
-                    f"cached_mask must have length {n}, got {len(mask)}"
+                    f"cached_mask must have length {n}, got {mask_len}"
                 )
-            mask_cached = int(np.count_nonzero(mask))
             if n_cached not in (0, mask_cached):
                 raise InvalidParameterError(
                     f"n_cached={n_cached} disagrees with cached_mask "
@@ -126,6 +133,8 @@ class QueryCounter:
             return
         charged = n if self.charge_cached else n - n_cached
         if self.budget is not None and self.charged_queries + charged > self.budget:
+            if mask is None and cached_mask is not None:
+                mask = np.asarray(cached_mask, dtype=bool)
             self._record_overrun_prefix(n, n_cached, tag, mask)
             raise QueryBudgetExceededError(
                 f"query budget of {self.budget} exceeded "

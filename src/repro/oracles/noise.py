@@ -27,6 +27,8 @@ import numpy as np
 from repro.exceptions import InvalidParameterError
 from repro.rng import SeedLike, ensure_rng
 
+_MASK64 = (1 << 64) - 1
+
 
 def _check_batch_lengths(left, right, keys) -> tuple:
     """Validate one ``answer_batch`` call; returns (left, right) as float arrays.
@@ -238,27 +240,27 @@ class ProbabilisticNoise(NoiseModel):
 
     def _batch_lookup(self, key: int) -> Optional[bool]:
         """Scalar lookup into the array-backed store (None when absent)."""
-        if self._batch_codes is None or not len(self._batch_codes):
+        codes = self._batch_codes
+        if codes is None or not len(codes):
             return None
-        pos = int(np.searchsorted(self._batch_codes, key))
-        if pos < len(self._batch_codes) and int(self._batch_codes[pos]) == int(key):
-            return bool(self._batch_answers[pos])
+        pos = int(codes.searchsorted(key))
+        if pos < len(codes) and codes.item(pos) == key:
+            return bool(self._batch_answers.item(pos))
         return None
 
     def answer(self, left: float, right: float, key: Hashable) -> bool:
-        truth = self._true_answer(left, right)
+        truth = left <= right
         if not self.persistent:
-            flip = bool(self._rng.random() < self.p)
-            return truth ^ flip
-        if key in self._persisted:
-            return self._persisted[key]
-        if isinstance(key, (int, np.integer)):
+            return truth ^ (self._rng.random() < self.p)
+        persisted = self._persisted
+        if key in persisted:
+            return persisted[key]
+        if self._batch_codes is not None and isinstance(key, (int, np.integer)):
             stored = self._batch_lookup(int(key))
             if stored is not None:
                 return stored
-        flip = bool(self._rng.random() < self.p)
-        self._persisted[key] = truth ^ flip
-        return self._persisted[key]
+        answer = persisted[key] = truth ^ (self._rng.random() < self.p)
+        return answer
 
     def answer_batch(self, left, right, keys) -> np.ndarray:
         left, right = _check_batch_lengths(left, right, keys)
@@ -393,6 +395,12 @@ class HashedProbabilisticNoise(NoiseModel):
         # policy, so SeedLike values (None, int, Generator) all work.
         self.seed_salt = np.uint64(ensure_rng(seed).integers(0, 2**63, dtype=np.int64))
         self._threshold = np.uint64(int(self.p * float(2**64)))
+        # Python-int copies of the constants for the scalar answer().
+        self._salt = int(self.seed_salt)
+        self._threshold_int = int(self._threshold)
+        self._gamma, self._mix1, self._mix2 = (
+            int(self._GAMMA), int(self._MIX1), int(self._MIX2)
+        )
 
     def _mix(self, codes: np.ndarray) -> np.ndarray:
         """splitmix64 finalizer over ``codes ^ salt`` (vectorised, wrapping)."""
@@ -412,12 +420,18 @@ class HashedProbabilisticNoise(NoiseModel):
         return self._mix(codes.astype(np.int64).view(np.uint64)) < self._threshold
 
     def answer(self, left: float, right: float, key: Hashable) -> bool:
-        if not isinstance(key, (int, np.integer)):
+        # The scalar twin of _flips in Python integer arithmetic: every step
+        # keeps the low 64 bits, which reads a negative int64 key as its
+        # two's-complement uint64 bits, so both paths flip the same queries.
+        if not isinstance(key, (int, np.integer)) or not -(2**63) <= key < 2**64:
             raise InvalidParameterError(
                 f"HashedProbabilisticNoise requires integer query keys, got {key!r}"
             )
-        truth = self._true_answer(left, right)
-        return bool(truth ^ bool(self._flips(np.asarray([key]))[0]))
+        z = (int(key) ^ self._salt) + self._gamma & _MASK64
+        z = (z ^ (z >> 30)) * self._mix1 & _MASK64
+        z = (z ^ (z >> 27)) * self._mix2 & _MASK64
+        flip = (z ^ (z >> 31)) < self._threshold_int
+        return bool(left <= right) ^ flip
 
     def answer_batch(self, left, right, keys) -> np.ndarray:
         left, right = _check_batch_lengths(left, right, keys)

@@ -13,13 +13,36 @@ import numpy as np
 from repro.exceptions import InvalidParameterError
 from repro.metric.space import MetricSpace
 from repro.oracles.base import (
+    _SMALL_BATCH,
     BaseQuadrupletOracle,
+    _as_index_arrays,
     cached_batch_answers,
+    cached_small_answers,
     check_index_arrays,
 )
 from repro.oracles.counting import QueryCounter
 from repro.oracles.noise import ExactNoise, NoiseModel, ProbabilisticNoise
 from repro.rng import SeedLike, ensure_rng
+
+
+def _canonical(a: int, b: int, c: int, d: int):
+    """Canonical form of the query ``d(a, b) <= d(c, d)``.
+
+    Returns ``(l1, l2, r1, r2, flipped)``: each pair in ascending order, the
+    lexicographically smaller pair first, and whether that swapped the two
+    pairs (which negates the answer).  ``None`` when both pairs are the same
+    pair, a query answered Yes without asking.
+    """
+    l1, l2 = (a, b) if a <= b else (b, a)
+    r1, r2 = (c, d) if c <= d else (d, c)
+    if l1 == r1:
+        if l2 == r2:
+            return None
+        if l2 > r2:
+            return r1, r2, l1, l2, True
+    elif l1 > r1:
+        return r1, r2, l1, l2, True
+    return l1, l2, r1, r2, False
 
 
 class DistanceQuadrupletOracle(BaseQuadrupletOracle):
@@ -59,28 +82,6 @@ class DistanceQuadrupletOracle(BaseQuadrupletOracle):
     def __len__(self) -> int:
         return len(self.space)
 
-    def _check(self, i: int) -> int:
-        i = int(i)
-        if not 0 <= i < len(self.space):
-            raise InvalidParameterError(
-                f"record index {i} out of range for space with {len(self.space)} points"
-            )
-        return i
-
-    @staticmethod
-    def _pair_key(a: int, b: int) -> tuple:
-        return (a, b) if a <= b else (b, a)
-
-    def _encode_key(self, a: int, b: int, c: int, d: int) -> int:
-        """Encode one canonicalised quadruplet as a single integer key.
-
-        The same encoding is computed vectorised (as int64 arrays) by
-        :meth:`compare_batch`, so the scalar and batched paths share one
-        answer cache and one noise-persistence keyspace.
-        """
-        n = len(self.space)
-        return ((a * n + b) * n + c) * n + d
-
     def compare(self, a: int, b: int, c: int, d: int) -> bool:
         """Return Yes (True) when d(a, b) <= d(c, d), subject to noise.
 
@@ -88,49 +89,53 @@ class DistanceQuadrupletOracle(BaseQuadrupletOracle):
         query.  Persistence keys are canonicalised so that the same two pairs
         presented in either order or orientation receive consistent answers.
         """
-        a, b, c, d = (self._check(a), self._check(b), self._check(c), self._check(d))
-        left_pair = self._pair_key(a, b)
-        right_pair = self._pair_key(c, d)
-        if left_pair == right_pair:
+        a, b, c, d = int(a), int(b), int(c), int(d)
+        n = len(self.space)
+        if not (0 <= a < n and 0 <= b < n and 0 <= c < n and 0 <= d < n):
+            check_index_arrays(n, [a, b, c, d])
+        query = _canonical(a, b, c, d)
+        if query is None:
             return True
-        flipped = left_pair > right_pair
-        if flipped:
-            left_pair, right_pair = right_pair, left_pair
-        key = self._encode_key(*left_pair, *right_pair)
-        if self.cache_answers and key in self._answer_cache:
+        l1, l2, r1, r2, flipped = query
+        # The same integer key as compare_batch's codes: one answer cache
+        # and one noise-persistence keyspace for every path.
+        key = ((l1 * n + l2) * n + r1) * n + r2
+        cache = self._answer_cache
+        if self.cache_answers and key in cache:
             self.counter.record(cached=True, tag=self.tag)
-            answer = self._answer_cache[key]
+            answer = cache[key]
         else:
-            d_left = self.space.distance(*left_pair)
-            d_right = self.space.distance(*right_pair)
-            answer = self.noise.answer(d_left, d_right, key)
+            space = self.space
+            answer = self.noise.answer(space.distance(l1, l2), space.distance(r1, r2), key)
             if self.cache_answers:
-                self._answer_cache[key] = answer
+                cache[key] = answer
             self.counter.record(tag=self.tag)
         return (not answer) if flipped else answer
 
     def compare_batch(self, a, b, c, d) -> np.ndarray:
-        """Vectorised :meth:`compare` over index arrays (the hot path).
+        """Answer :meth:`compare` for every query of the index arrays.
 
-        Canonicalisation, key encoding, ground-truth distance evaluation and
-        noise are all array operations; only the answer-cache lookups walk a
-        dict.  Answers, cache contents, noise draws and query accounting
-        totals are identical to a loop of scalar calls in array order.  On a
-        budget overrun the counter clamps to the scalar prefix (the cached
-        positions are passed through, so the raise point matches the loop's
-        exactly); the answer cache and the noise model, however, have already
-        seen the whole batch by then, so their state covers every query, not
-        just the recorded prefix.
+        Answers, cache contents, noise draws and query accounting totals are
+        identical to a loop of scalar calls in array order.  Fresh queries
+        reach the metric space as two ``pair_distances`` calls (left pairs,
+        right pairs) in first-occurrence order.  On a budget overrun the
+        counter clamps to the scalar prefix (the cached positions are passed
+        through, so the raise point matches the loop's exactly); the answer
+        cache and the noise model, however, have already seen the whole
+        batch by then, so their state covers every query, not just the
+        recorded prefix.
+
+        Batches of at most ``_SMALL_BATCH`` queries are served query by
+        query in plain Python (:meth:`_compare_small`); larger ones by array
+        operations, where only the answer-cache lookups walk a dict.
         """
-        a, b, c, d = np.broadcast_arrays(
-            *(np.asarray(x, dtype=np.int64).reshape(-1) for x in (a, b, c, d))
-        )
+        a, b, c, d = _as_index_arrays(a, b, c, d)
+        m = len(a)
+        if m <= _SMALL_BATCH:
+            return self._compare_small(a.tolist(), b.tolist(), c.tolist(), d.tolist())
         n = len(self.space)
         check_index_arrays(n, a, b, c, d)
-        m = len(a)
         out = np.ones(m, dtype=bool)
-        if m == 0:
-            return out
         lp1, lp2 = np.minimum(a, b), np.maximum(a, b)
         rp1, rp2 = np.minimum(c, d), np.maximum(c, d)
         same = (lp1 == rp1) & (lp2 == rp2)
@@ -143,8 +148,8 @@ class DistanceQuadrupletOracle(BaseQuadrupletOracle):
         if n**4 > np.iinfo(np.int64).max:
             # int64 codes would overflow above n ~ 55,000.  Build the same
             # canonical keys as exact Python ints (object dtype) instead:
-            # they hash and order identically to the scalar path's
-            # ``_encode_key`` values, and only the key arithmetic degrades —
+            # they hash and order identically to the keys of the scalar and
+            # small-batch paths, and only the key arithmetic degrades —
             # distance evaluation stays vectorised, which is what lets
             # million-point spaces keep the batched pair path.
             codes = ((L1.astype(object) * n + L2) * n + R1) * n + R2
@@ -178,6 +183,57 @@ class DistanceQuadrupletOracle(BaseQuadrupletOracle):
             )
         out[active] = answers ^ flipped[active]
         return out
+
+    def _compare_small(self, a: list, b: list, c: list, d: list) -> np.ndarray:
+        """:meth:`compare_batch` for a few queries, one Python pass per query.
+
+        Validates the indices once, canonicalises and keys each query like
+        :meth:`compare` and makes one memo probe per query.  Only the
+        first-occurrence misses, in batch order, reach the metric space —
+        through the same two ``pair_distances`` calls the vectorised path
+        makes, so lazy and disk backends see the same requests — and then
+        the noise model's scalar ``answer``, which the noise contract makes
+        equivalent to one ``answer_batch`` call.  The whole batch reaches
+        the memo before the counter records it with its cached positions.
+        """
+        n = len(self.space)
+        indices = a + b + c + d
+        if indices and (min(indices) < 0 or max(indices) >= n):
+            check_index_arrays(n, a, b, c, d)
+        out = [True] * len(a)
+        active, keys, flips = [], [], []
+        l1s, l2s, r1s, r2s = [], [], [], []
+        for pos, query in enumerate(map(_canonical, a, b, c, d)):
+            if query is None:
+                continue
+            l1, l2, r1, r2, flipped = query
+            active.append(pos)
+            keys.append(((l1 * n + l2) * n + r1) * n + r2)
+            flips.append(flipped)
+            l1s.append(l1)
+            l2s.append(l2)
+            r1s.append(r1)
+            r2s.append(r2)
+        if not active:
+            return np.array(out, dtype=bool)
+
+        def fresh_answers(miss) -> list:
+            space = self.space
+            d_left = space.pair_distances([l1s[p] for p in miss], [l2s[p] for p in miss])
+            d_right = space.pair_distances([r1s[p] for p in miss], [r2s[p] for p in miss])
+            return list(
+                map(self.noise.answer, d_left.tolist(), d_right.tolist(), [keys[p] for p in miss])
+            )
+
+        if self.cache_answers:
+            answers, cached_mask = cached_small_answers(self._answer_cache, keys, fresh_answers)
+            self.counter.record_batch(len(keys), tag=self.tag, cached_mask=cached_mask)
+        else:
+            answers = fresh_answers(range(len(keys)))
+            self.counter.record_batch(len(keys), tag=self.tag)
+        for pos, answer, flipped in zip(active, answers, flips):
+            out[pos] = answer != flipped
+        return np.array(out, dtype=bool)
 
     def true_compare(self, a: int, b: int, c: int, d: int) -> bool:
         """Noise-free ground-truth comparison (tests and evaluation only)."""

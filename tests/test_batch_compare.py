@@ -28,7 +28,13 @@ from repro.oracles.base import (
 )
 from repro.oracles.comparison import ValueComparisonOracle
 from repro.oracles.counting import QueryCounter
-from repro.oracles.noise import AdversarialNoise, ExactNoise, ProbabilisticNoise
+from repro.oracles.base import _SMALL_BATCH
+from repro.oracles.noise import (
+    AdversarialNoise,
+    ExactNoise,
+    HashedProbabilisticNoise,
+    ProbabilisticNoise,
+)
 from repro.oracles.quadruplet import DistanceQuadrupletOracle
 from repro.neighbors.pairwise import PairwiseCompOracle
 
@@ -37,9 +43,16 @@ N_QUERIES = 300
 NOISE_FACTORIES = {
     "exact": lambda: ExactNoise(),
     "probabilistic": lambda: ProbabilisticNoise(p=0.25, seed=99),
-    "adversarial_lie": lambda: AdversarialNoise(mu=0.5),
+    "probabilistic_independent": lambda: ProbabilisticNoise(
+        p=0.25, seed=99, persistent=False
+    ),
+    "hashed": lambda: HashedProbabilisticNoise(p=0.25, seed=99),
+    "adversarial_lie": lambda: AdversarialNoise(mu=0.5, seed=4),
     "adversarial_random": lambda: AdversarialNoise(mu=0.5, adversary="random", seed=4),
 }
+#: Batch sizes on both sides of the small-batch cut-off: the per-query path
+#: serves 1 and C queries, the vectorised path C + 1 and 4C.
+BATCH_SIZES = (1, _SMALL_BATCH, _SMALL_BATCH + 1, 4 * _SMALL_BATCH)
 
 
 def _space():
@@ -103,6 +116,68 @@ def test_quadruplet_fresh_vs_fresh(noise_name, cache_answers):
     np.testing.assert_array_equal(batched, scalar)
     _assert_counters_equal(scalar_oracle.counter, batch_oracle.counter)
     assert scalar_oracle._answer_cache == batch_oracle._answer_cache
+
+
+def _noise_state(oracle):
+    """What a noise model has drawn or persisted, for exact comparison."""
+    noise = oracle.noise
+    rng = getattr(noise, "_rng", None)
+    return (
+        None if rng is None else rng.bit_generator.state,
+        getattr(noise, "_persisted", None),
+    )
+
+
+def _spy_small_path(monkeypatch, oracle_cls) -> list:
+    """Record the size of every batch the per-query path serves."""
+    served = []
+    small = oracle_cls._compare_small
+
+    def spy(self, *columns):
+        served.append(len(columns[0]))
+        return small(self, *columns)
+
+    monkeypatch.setattr(oracle_cls, "_compare_small", spy)
+    return served
+
+
+@pytest.mark.parametrize("batch_size", BATCH_SIZES)
+@pytest.mark.parametrize("noise_name", sorted(NOISE_FACTORIES))
+@pytest.mark.parametrize("cache_answers", [True, False])
+@pytest.mark.parametrize("kind", ["quadruplet", "comparison"])
+def test_batches_either_side_of_small_cutoff_match_scalar_loop(
+    monkeypatch, kind, cache_answers, noise_name, batch_size
+):
+    """Both compare_batch paths equal the scalar loop, call by call.
+
+    A stream of queries is served in consecutive batches of *batch_size*;
+    answers, counters, the answer cache and the noise model's draws must
+    equal a scalar loop over the same stream, and the batches must have
+    taken the path their size selects.
+    """
+    rng = np.random.default_rng(batch_size)
+    n_queries = 3 * 4 * _SMALL_BATCH
+    if kind == "quadruplet":
+        columns = _quad_queries(rng, n_queries)
+        make, cls = _quadruplet_oracle, DistanceQuadrupletOracle
+    else:
+        columns = _pair_queries(rng, n_queries)
+        make, cls = _comparison_oracle, ValueComparisonOracle
+    scalar_oracle = make(noise_name, cache_answers)
+    batch_oracle = make(noise_name, cache_answers)
+    served = _spy_small_path(monkeypatch, cls)
+    scalar = [scalar_oracle.compare(*map(int, q)) for q in zip(*columns)]
+    batches = [
+        [col[start : start + batch_size] for col in columns]
+        for start in range(0, n_queries, batch_size)
+    ]
+    batched = np.concatenate([batch_oracle.compare_batch(*batch) for batch in batches])
+    assert batched.dtype == bool
+    np.testing.assert_array_equal(batched, scalar)
+    _assert_counters_equal(scalar_oracle.counter, batch_oracle.counter)
+    assert scalar_oracle._answer_cache == batch_oracle._answer_cache
+    assert _noise_state(scalar_oracle) == _noise_state(batch_oracle)
+    assert served == [len(b[0]) for b in batches if len(b[0]) <= _SMALL_BATCH]
 
 
 @pytest.mark.parametrize("noise_name", ["exact", "probabilistic"])

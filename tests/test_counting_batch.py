@@ -6,8 +6,10 @@ import pytest
 
 from repro.exceptions import InvalidParameterError, QueryBudgetExceededError
 from repro.metric.space import PointCloudSpace
-from repro.oracles.base import cached_batch_answers
+from repro.oracles.base import _SMALL_BATCH, cached_batch_answers
+from repro.oracles.comparison import ValueComparisonOracle
 from repro.oracles.counting import QueryCounter
+from repro.oracles.noise import ProbabilisticNoise
 from repro.oracles.quadruplet import DistanceQuadrupletOracle
 
 
@@ -159,6 +161,47 @@ def test_oracle_compare_batch_budget_exhaustion_matches_scalar_accounting():
     assert counter.charged_queries == 11
     assert counter.cached_queries == 0
     assert len(oracle._answer_cache) == 16
+
+
+@pytest.mark.parametrize("batch_size", (1, _SMALL_BATCH, _SMALL_BATCH + 1, 4 * _SMALL_BATCH))
+@pytest.mark.parametrize("kind", ["quadruplet", "comparison"])
+def test_oracle_compare_batch_overrun_contract_on_both_paths(kind, batch_size):
+    # Either side of the small-batch cut-off, an overrunning compare_batch
+    # leaves the counter exactly where the scalar loop raises, while the
+    # answer cache and the noise model have seen every query of the batch.
+    rng = np.random.default_rng(batch_size)
+    if kind == "quadruplet":
+        space = PointCloudSpace(rng.normal(size=(12, 2)))
+        columns = rng.integers(0, 12, size=(4, batch_size))
+        columns[:, 1::3] = columns[:, 0::3][:, : columns[:, 1::3].shape[1]]  # repeats
+
+        def make(budget):
+            return DistanceQuadrupletOracle(
+                space, noise=ProbabilisticNoise(p=0.3, seed=5), counter=QueryCounter(budget=budget)
+            )
+    else:
+        values = rng.uniform(1.0, 2.0, size=12)
+        columns = rng.integers(0, 12, size=(2, batch_size))
+        columns[:, 1::3] = columns[:, 0::3][:, : columns[:, 1::3].shape[1]]
+
+        def make(budget):
+            return ValueComparisonOracle(
+                values, noise=ProbabilisticNoise(p=0.3, seed=5), counter=QueryCounter(budget=budget)
+            )
+
+    unlimited = make(None)
+    unlimited.compare_batch(*columns)
+    budget = unlimited.counter.charged_queries // 2
+    scalar, batched = make(budget), make(budget)
+    with pytest.raises(QueryBudgetExceededError):
+        for query in zip(*columns.tolist()):
+            scalar.compare(*query)
+    with pytest.raises(QueryBudgetExceededError):
+        batched.compare_batch(*columns)
+    assert batched.counter.snapshot() == scalar.counter.snapshot()
+    assert batched.counter.charged_queries == budget + 1
+    assert batched._answer_cache == unlimited._answer_cache
+    assert batched.noise.n_persisted == unlimited.noise.n_persisted
 
 
 def test_record_batch_budget_ignores_cached_by_default():
