@@ -67,6 +67,11 @@ run_bench() {
     # benchmarks/test_obs_overhead_smoke.py (the disabled observability
     # fast path must cost <= 2% of the store_scale cold cell).
     python -m pytest benchmarks -q -s -k "smoke or batch" --benchmark-disable
+    echo "== repo benchmark output checks: perfbench/run.py, 8 s per workload =="
+    # Mirrors the CI step: a failed job, query or output check, or an exact
+    # count that differs between passes, makes run.py exit non-zero.
+    python3 perfbench/run.py --workload paper-noisy --seed 1 --seconds 8 --trace 0
+    python3 perfbench/run.py --workload crowd-serve --seed 1 --seconds 8 --trace 0
     echo "== obs sample trace: seeded service run + summarize round trip =="
     # Mirrors the CI artifact step: write a trace, prove it summarizes.
     python -m repro.service --sessions 4 --queries 25 \
