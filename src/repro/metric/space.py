@@ -54,11 +54,6 @@ _BATCHABLE_DISTANCE_FNS = frozenset(
 )
 
 
-#: Longest list of index pairs the dense backend's ``pair_distances`` serves
-#: pair by pair from its memo instead of through array operations.
-_MEMO_PAIRS = 32
-
-
 class MetricSpace:
     """Abstract base class: a finite set of records with a distance function."""
 
@@ -323,16 +318,22 @@ class PointCloudSpace(MetricSpace):
         )
 
     def pair_distances(self, i, j) -> np.ndarray:
+        """Batched :meth:`distance`, elementwise identical to the scalar loop.
+
+        Arrays take the vectorised kernel.  On the dense backend, two Python
+        lists of equal length are instead served pair by pair through the
+        distance memo (~0.5 us a pair against ~20 us a call for the array
+        path), filling the memo as :meth:`distance` does; the oracles'
+        small-batch path passes its few misses this way.  The values agree
+        either way (``_BATCHABLE_DISTANCE_FNS``), so pass arrays for anything
+        larger than a handful of pairs.
+        """
         if (
             self._cache is not None
             and type(i) is list
             and type(j) is list
-            and len(i) == len(j) <= _MEMO_PAIRS
+            and len(i) == len(j)
         ):
-            # A short list of pairs (the oracles' small-batch path) on the
-            # dense backend: reading the memo pair by pair costs ~0.5 us a
-            # pair, the array path ~20 us a call.  Values are the same
-            # either way (_BATCHABLE_DISTANCE_FNS); this also fills the memo.
             # The class's own distance, so that a subclass wrapping the
             # public methods sees one pair_distances call, not m distances.
             distance = PointCloudSpace.distance

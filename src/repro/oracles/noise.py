@@ -27,8 +27,6 @@ import numpy as np
 from repro.exceptions import InvalidParameterError
 from repro.rng import SeedLike, ensure_rng
 
-_MASK64 = (1 << 64) - 1
-
 
 def _check_batch_lengths(left, right, keys) -> tuple:
     """Validate one ``answer_batch`` call; returns (left, right) as float arrays.
@@ -395,12 +393,6 @@ class HashedProbabilisticNoise(NoiseModel):
         # policy, so SeedLike values (None, int, Generator) all work.
         self.seed_salt = np.uint64(ensure_rng(seed).integers(0, 2**63, dtype=np.int64))
         self._threshold = np.uint64(int(self.p * float(2**64)))
-        # Python-int copies of the constants for the scalar answer().
-        self._salt = int(self.seed_salt)
-        self._threshold_int = int(self._threshold)
-        self._gamma, self._mix1, self._mix2 = (
-            int(self._GAMMA), int(self._MIX1), int(self._MIX2)
-        )
 
     def _mix(self, codes: np.ndarray) -> np.ndarray:
         """splitmix64 finalizer over ``codes ^ salt`` (vectorised, wrapping)."""
@@ -420,18 +412,12 @@ class HashedProbabilisticNoise(NoiseModel):
         return self._mix(codes.astype(np.int64).view(np.uint64)) < self._threshold
 
     def answer(self, left: float, right: float, key: Hashable) -> bool:
-        # The scalar twin of _flips in Python integer arithmetic: every step
-        # keeps the low 64 bits, which reads a negative int64 key as its
-        # two's-complement uint64 bits, so both paths flip the same queries.
-        if not isinstance(key, (int, np.integer)) or not -(2**63) <= key < 2**64:
+        if not isinstance(key, (int, np.integer)):
             raise InvalidParameterError(
                 f"HashedProbabilisticNoise requires integer query keys, got {key!r}"
             )
-        z = (int(key) ^ self._salt) + self._gamma & _MASK64
-        z = (z ^ (z >> 30)) * self._mix1 & _MASK64
-        z = (z ^ (z >> 27)) * self._mix2 & _MASK64
-        flip = (z ^ (z >> 31)) < self._threshold_int
-        return bool(left <= right) ^ flip
+        truth = self._true_answer(left, right)
+        return bool(truth ^ bool(self._flips(np.asarray([key]))[0]))
 
     def answer_batch(self, left, right, keys) -> np.ndarray:
         left, right = _check_batch_lengths(left, right, keys)

@@ -1,13 +1,11 @@
 """Tests for the noise models."""
 
-import numpy as np
 import pytest
 
 from repro.exceptions import InvalidParameterError
 from repro.oracles.noise import (
     AdversarialNoise,
     ExactNoise,
-    HashedProbabilisticNoise,
     ProbabilisticNoise,
     make_noise_model,
 )
@@ -121,31 +119,6 @@ class TestProbabilisticNoise:
         for bad in (-0.1, 0.5, 0.9):
             with pytest.raises(InvalidParameterError):
                 ProbabilisticNoise(p=bad)
-
-
-class TestHashedProbabilisticNoise:
-    @pytest.mark.parametrize("p", [0.0, 0.1, 0.45])
-    def test_scalar_answer_matches_batch(self, p):
-        # The scalar path hashes in Python ints, the batch path in uint64
-        # arrays; both must flip the same queries, negative codes included.
-        rng = np.random.default_rng(3)
-        keys = np.concatenate(
-            [
-                rng.integers(-(2**63), 2**63 - 1, size=500),
-                np.arange(-40, 40),
-                [-(2**63), 2**63 - 1],
-            ]
-        ).astype(np.int64)
-        left, right = rng.uniform(size=(2, len(keys)))
-        model = HashedProbabilisticNoise(p=p, seed=11)
-        scalar = [model.answer(x, y, k) for x, y, k in zip(left.tolist(), right.tolist(), keys.tolist())]
-        assert model.answer_batch(left, right, keys).tolist() == scalar
-
-    def test_scalar_answer_rejects_keys_outside_64_bits(self):
-        model = HashedProbabilisticNoise(p=0.2, seed=1)
-        for key in (2**64, -(2**63) - 1, 1.5, "k"):
-            with pytest.raises(InvalidParameterError):
-                model.answer(1.0, 2.0, key)
 
 
 class TestFactory:
