@@ -277,15 +277,9 @@ class AssignmentDistanceOracle(BaseComparisonOracle):
         self.assignment = assignment
         self.counter = quadruplet_oracle.counter
 
-    def _center_of(self, i: int) -> int:
-        if isinstance(self.assignment, dict):
-            return int(self.assignment[i])
-        return int(self.assignment[i])
-
     def compare(self, i: int, j: int) -> bool:
-        si = self._center_of(i)
-        sj = self._center_of(j)
-        return self.quadruplet_oracle.compare(i, si, j, sj)
+        centers = self.assignment
+        return self.quadruplet_oracle.compare(i, int(centers[i]), j, int(centers[j]))
 
     def compare_batch(self, i, j) -> np.ndarray:
         i, j = _as_index_arrays(i, j)

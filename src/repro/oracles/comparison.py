@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.oracles.base import (
     check_index_arrays,
 )
 from repro.oracles.counting import QueryCounter
+from repro.oracles.keys import comparison_key, comparison_keys
 from repro.oracles.noise import ExactNoise, NoiseModel
 
 
@@ -72,16 +74,10 @@ class ValueComparisonOracle(BaseComparisonOracle):
         n = len(self.space)
         if not (0 <= i < n and 0 <= j < n):
             check_index_arrays(n, [i, j])
-        if i == j:
+        query = comparison_key(i, j, n)
+        if query is None:
             return True
-        # Canonical key: orient the query so (i, j) and the reversed (j, i)
-        # receive consistent persisted answers.  The integer encoding matches
-        # the vectorised one in compare_batch, so both paths share one cache;
-        # codes are negative so they can never collide with the non-negative
-        # quadruplet codes when one noise model serves both oracle types.
-        flipped = i > j
-        lo, hi = (j, i) if flipped else (i, j)
-        key = -(lo * n + hi) - 1
+        key, lo, hi, flipped = query
         cache = self._answer_cache
         if self.cache_answers and key in cache:
             self.counter.record(cached=True, tag=self.tag)
@@ -107,12 +103,8 @@ class ValueComparisonOracle(BaseComparisonOracle):
         n = len(self.space)
         check_index_arrays(n, i, j)
         out = np.ones(m, dtype=bool)
-        lo = np.minimum(i, j)
-        hi = np.maximum(i, j)
-        flipped = i > j
-        # Negative codes: see the scalar path's canonical-key comment.
-        codes = -(lo * n + hi) - 1
-        active = np.nonzero(lo != hi)[0]
+        codes, flipped, trivial, lo, hi = comparison_keys(i, j, n)
+        active = np.nonzero(~trivial)[0]
         if active.size == 0:
             return out
         lo_a, hi_a = lo[active], hi[active]
@@ -149,13 +141,12 @@ class ValueComparisonOracle(BaseComparisonOracle):
             check_index_arrays(n, i, j)
         out = [True] * len(i)
         active, keys, flips, los, his = [], [], [], [], []
-        for pos, (x, y) in enumerate(zip(i, j)):
-            if x == y:
+        for pos, query in enumerate(map(comparison_key, i, j, repeat(n))):
+            if query is None:
                 continue
-            flipped = x > y
-            lo, hi = (y, x) if flipped else (x, y)
+            key, lo, hi, flipped = query
             active.append(pos)
-            keys.append(-(lo * n + hi) - 1)
+            keys.append(key)
             flips.append(flipped)
             los.append(lo)
             his.append(hi)

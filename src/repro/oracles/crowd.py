@@ -23,8 +23,9 @@ import numpy as np
 
 from repro.exceptions import InvalidParameterError
 from repro.metric.space import MetricSpace
-from repro.oracles.base import BaseQuadrupletOracle
+from repro.oracles.base import BaseQuadrupletOracle, check_index_arrays
 from repro.oracles.counting import QueryCounter
+from repro.oracles.keys import quadruplet_key
 from repro.rng import SeedLike, ensure_rng
 
 
@@ -137,26 +138,21 @@ class CrowdQuadrupletOracle(BaseQuadrupletOracle):
     def __len__(self) -> int:
         return len(self.space)
 
-    @staticmethod
-    def _pair_key(a: int, b: int) -> tuple:
-        return (a, b) if a <= b else (b, a)
-
     def compare(self, a: int, b: int, c: int, d: int) -> bool:
         """Majority-vote crowd answer to "is d(a, b) <= d(c, d)?"."""
         a, b, c, d = int(a), int(b), int(c), int(d)
-        left_pair = self._pair_key(a, b)
-        right_pair = self._pair_key(c, d)
-        if left_pair == right_pair:
+        n = len(self.space)
+        if not (0 <= a < n and 0 <= b < n and 0 <= c < n and 0 <= d < n):
+            check_index_arrays(n, [a, b, c, d])
+        query = quadruplet_key(a, b, c, d, n)
+        if query is None:
             return True
-        flipped = left_pair > right_pair
-        if flipped:
-            left_pair, right_pair = right_pair, left_pair
-        key = (left_pair, right_pair)
+        key, l1, l2, r1, r2, flipped = query
         if key in self._persisted:
             self.counter.record(cached=True, tag=self.tag)
         else:
-            d_left = self.space.distance(*left_pair)
-            d_right = self.space.distance(*right_pair)
+            d_left = self.space.distance(l1, l2)
+            d_right = self.space.distance(r1, r2)
             truth = d_left <= d_right
             acc = self.profile.accuracy(d_left, d_right)
             votes_correct = int(np.sum(self._rng.random(self.n_workers) < acc))

@@ -6,6 +6,7 @@ in the paper's evaluation (optimal-cluster queries answered by the crowd).
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,28 +22,9 @@ from repro.oracles.base import (
     check_index_arrays,
 )
 from repro.oracles.counting import QueryCounter
+from repro.oracles.keys import quadruplet_key, quadruplet_keys
 from repro.oracles.noise import ExactNoise, NoiseModel, ProbabilisticNoise
 from repro.rng import SeedLike, ensure_rng
-
-
-def _canonical(a: int, b: int, c: int, d: int):
-    """Canonical form of the query ``d(a, b) <= d(c, d)``.
-
-    Returns ``(l1, l2, r1, r2, flipped)``: each pair in ascending order, the
-    lexicographically smaller pair first, and whether that swapped the two
-    pairs (which negates the answer).  ``None`` when both pairs are the same
-    pair, a query answered Yes without asking.
-    """
-    l1, l2 = (a, b) if a <= b else (b, a)
-    r1, r2 = (c, d) if c <= d else (d, c)
-    if l1 == r1:
-        if l2 == r2:
-            return None
-        if l2 > r2:
-            return r1, r2, l1, l2, True
-    elif l1 > r1:
-        return r1, r2, l1, l2, True
-    return l1, l2, r1, r2, False
 
 
 class DistanceQuadrupletOracle(BaseQuadrupletOracle):
@@ -93,13 +75,10 @@ class DistanceQuadrupletOracle(BaseQuadrupletOracle):
         n = len(self.space)
         if not (0 <= a < n and 0 <= b < n and 0 <= c < n and 0 <= d < n):
             check_index_arrays(n, [a, b, c, d])
-        query = _canonical(a, b, c, d)
+        query = quadruplet_key(a, b, c, d, n)
         if query is None:
             return True
-        l1, l2, r1, r2, flipped = query
-        # The same integer key as compare_batch's codes: one answer cache
-        # and one noise-persistence keyspace for every path.
-        key = ((l1 * n + l2) * n + r1) * n + r2
+        key, l1, l2, r1, r2, flipped = query
         cache = self._answer_cache
         if self.cache_answers and key in cache:
             self.counter.record(cached=True, tag=self.tag)
@@ -136,27 +115,8 @@ class DistanceQuadrupletOracle(BaseQuadrupletOracle):
         n = len(self.space)
         check_index_arrays(n, a, b, c, d)
         out = np.ones(m, dtype=bool)
-        lp1, lp2 = np.minimum(a, b), np.maximum(a, b)
-        rp1, rp2 = np.minimum(c, d), np.maximum(c, d)
-        same = (lp1 == rp1) & (lp2 == rp2)
-        # Lexicographic pair order: flip so the smaller pair comes first.
-        flipped = (lp1 > rp1) | ((lp1 == rp1) & (lp2 > rp2))
-        L1 = np.where(flipped, rp1, lp1)
-        L2 = np.where(flipped, rp2, lp2)
-        R1 = np.where(flipped, lp1, rp1)
-        R2 = np.where(flipped, lp2, rp2)
-        if n**4 > np.iinfo(np.int64).max:
-            # int64 codes would overflow above n ~ 55,000.  Build the same
-            # canonical keys as exact Python ints (object dtype) instead:
-            # they hash and order identically to the keys of the scalar and
-            # small-batch paths, and only the key arithmetic degrades —
-            # distance evaluation stays vectorised, which is what lets
-            # million-point spaces keep the batched pair path.
-            codes = ((L1.astype(object) * n + L2) * n + R1) * n + R2
-        else:
-            codes = ((L1 * n + L2) * n + R1) * n + R2
-
-        active = np.nonzero(~same)[0]
+        codes, flipped, trivial, L1, L2, R1, R2 = quadruplet_keys(a, b, c, d, n)
+        active = np.nonzero(~trivial)[0]
         if active.size == 0:
             return out
         L1a, L2a = L1[active], L2[active]
@@ -203,12 +163,12 @@ class DistanceQuadrupletOracle(BaseQuadrupletOracle):
         out = [True] * len(a)
         active, keys, flips = [], [], []
         l1s, l2s, r1s, r2s = [], [], [], []
-        for pos, query in enumerate(map(_canonical, a, b, c, d)):
+        for pos, query in enumerate(map(quadruplet_key, a, b, c, d, repeat(n))):
             if query is None:
                 continue
-            l1, l2, r1, r2, flipped = query
+            key, l1, l2, r1, r2, flipped = query
             active.append(pos)
-            keys.append(((l1 * n + l2) * n + r1) * n + r2)
+            keys.append(key)
             flips.append(flipped)
             l1s.append(l1)
             l2s.append(l2)

@@ -67,6 +67,7 @@ from repro.oracles.base import (
     check_index_arrays,
 )
 from repro.oracles.counting import QueryCounter
+from repro.oracles.keys import canonical_quadruplets
 from repro.rng import SeedLike, ensure_rng
 from repro.store.oracle import StoredComparisonOracle, StoredQuadrupletOracle
 from repro.store.warehouse import AnswerStore
@@ -227,9 +228,8 @@ class ServiceSession:
         self.service._check_indices(KIND_QUADRUPLET, a, b, c, d)
         # Self-comparisons (both canonical pairs identical) are answered Yes
         # by the backend without crowd work; don't charge the session either.
-        lp1, lp2 = np.minimum(a, b), np.maximum(a, b)
-        rp1, rp2 = np.minimum(c, d), np.maximum(c, d)
-        chargeable = int(np.count_nonzero((lp1 != rp1) | (lp2 != rp2)))
+        trivial = canonical_quadruplets(a, b, c, d)[1]
+        chargeable = int(np.count_nonzero(~trivial))
         return await self.service._submit(
             _make_request(self, KIND_QUADRUPLET, (a, b, c, d), chargeable)
         )

@@ -36,11 +36,12 @@ Vote semantics, knobs and the multi-writer contract:
 
 from repro.store.format import DEFAULT_N_SHARDS, STORE_FORMAT_VERSION, shard_of
 from repro.store.keys import (
-    comparison_code,
+    QUADRUPLET_INT64_MAX_N,
     comparison_codes,
-    quadruplet_code,
-    quadruplet_codes,
-    quadruplet_codes_fit,
+    comparison_key,
+    comparison_keys,
+    quadruplet_key,
+    quadruplet_keys,
 )
 from repro.store.oracle import StoredComparisonOracle, StoredQuadrupletOracle
 from repro.store.shard import GroupCommitPolicy, StoreShard
@@ -56,9 +57,10 @@ __all__ = [
     "StoredComparisonOracle",
     "StoredQuadrupletOracle",
     "StoreShard",
-    "comparison_code",
+    "QUADRUPLET_INT64_MAX_N",
     "comparison_codes",
-    "quadruplet_code",
-    "quadruplet_codes",
-    "quadruplet_codes_fit",
+    "comparison_key",
+    "comparison_keys",
+    "quadruplet_key",
+    "quadruplet_keys",
 ]

@@ -22,8 +22,9 @@ Format v2 in one picture::
   length-prefixed, CRC-checked **binary records** framed by the shared
   storage layer (:mod:`repro.storage.framing`) — see the framing comment
   above :func:`encode_votes`.
-* A **vote** is a canonical signed integer query key
-  (:mod:`repro.store.keys`) plus a Yes/No answer; each WAL record carries
+* A **vote** is a canonical signed integer query key, stored as one int64
+  (the codec :mod:`repro.oracles.keys`; quadruplet codes fit one only for
+  ``n_records <= 55,108``), plus a Yes/No answer; each WAL record carries
   one append batch of votes with consecutive sequence numbers, strictly
   increasing within the shard.
 * Keys are routed to shards by ``code % n_shards`` (Python/NumPy modulo:

@@ -1,108 +1,29 @@
-"""Canonical integer query keys shared with the batched oracle layer.
+"""The warehouse's query keys: re-exports of :mod:`repro.oracles.keys`.
 
-The warehouse keys every stored answer by the same int-code scheme the
-concrete oracles use internally (PR 1's batched oracle layer), so one store
-serves both query types without translation:
-
-* **Comparison** queries over *n* records canonicalise ``(i, j)`` to the
-  sorted pair ``(lo, hi)`` and encode it as the *negative* code
-  ``-(lo * n + hi) - 1`` — matching
-  :meth:`repro.oracles.comparison.ValueComparisonOracle.compare`.
-* **Quadruplet** queries canonicalise each pair, order the two pairs
-  lexicographically, and encode the result as the *non-negative* code
-  ``((L1 * n + L2) * n + R1) * n + R2`` — matching
-  :meth:`repro.oracles.quadruplet.DistanceQuadrupletOracle.compare`.
-
-Because the two ranges are disjoint by sign, a single integer keyspace holds
-both kinds.  Every encoder returns, alongside the codes, the *flipped* mask
-(the caller presented the canonical query in reversed orientation: the
-persisted answer must be negated on readout) and the *trivial* mask (the two
-sides are identical: answered Yes for free, never stored).
-
-All codes are functions of the record count *n*; mixing codes computed
-against different *n* would collide, which is why
-:class:`repro.store.warehouse.AnswerStore` pins ``n_records`` on first use.
+The warehouse keys every stored answer by the canonical integer code the
+concrete oracles use for their answer memos and noise persistence, so a
+cold store is bit-identical to the direct oracle path.  The codec lives in
+:mod:`repro.oracles.keys`; this module keeps the warehouse's import path.
+Stored codes are one int64 each, so stored quadruplet oracles serve at most
+:data:`~repro.oracles.keys.QUADRUPLET_INT64_MAX_N` (55,108) records.
 """
 
-from __future__ import annotations
+from repro.oracles.keys import (
+    QUADRUPLET_INT64_MAX_N,
+    canonical_quadruplets,
+    comparison_codes,
+    comparison_key,
+    comparison_keys,
+    quadruplet_key,
+    quadruplet_keys,
+)
 
-from typing import Tuple
-
-import numpy as np
-
-
-def comparison_codes(
-    i: np.ndarray, j: np.ndarray, n: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised canonical codes for comparison queries.
-
-    Returns ``(codes, flipped, trivial)`` aligned with the inputs: *codes*
-    are the negative canonical int64 codes, *flipped* marks queries whose
-    answer must be negated on readout (``i > j``), and *trivial* marks
-    self-comparisons (``i == j``).
-    """
-    lo = np.minimum(i, j)
-    hi = np.maximum(i, j)
-    codes = -(lo * np.int64(n) + hi) - 1
-    return codes, i > j, i == j
-
-
-def quadruplet_codes(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray, n: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised canonical codes for quadruplet queries.
-
-    Returns ``(codes, flipped, trivial)``: *codes* are the non-negative
-    canonical int64 codes, *flipped* marks queries where the two canonical
-    pairs were presented in reversed order, and *trivial* marks queries
-    comparing a pair against itself.
-    """
-    n = np.int64(n)
-    lp1, lp2 = np.minimum(a, b), np.maximum(a, b)
-    rp1, rp2 = np.minimum(c, d), np.maximum(c, d)
-    trivial = (lp1 == rp1) & (lp2 == rp2)
-    flipped = (lp1 > rp1) | ((lp1 == rp1) & (lp2 > rp2))
-    L1 = np.where(flipped, rp1, lp1)
-    L2 = np.where(flipped, rp2, lp2)
-    R1 = np.where(flipped, lp1, rp1)
-    R2 = np.where(flipped, lp2, rp2)
-    codes = ((L1 * n + L2) * n + R1) * n + R2
-    return codes, flipped, trivial
-
-
-def quadruplet_codes_fit(n: int) -> bool:
-    """Whether quadruplet codes over *n* records fit an int64 (``n**4`` check)."""
-    return int(n) ** 4 <= np.iinfo(np.int64).max
-
-
-def canonical_comparison(i: int, j: int) -> Tuple[int, int, bool]:
-    """Scalar canonicalisation: ``(lo, hi, flipped)`` for one comparison."""
-    i, j = int(i), int(j)
-    return (j, i, True) if i > j else (i, j, False)
-
-
-def comparison_code(lo: int, hi: int, n: int) -> int:
-    """Scalar comparison code for a canonicalised pair (``lo <= hi``)."""
-    return -(lo * n + hi) - 1
-
-
-def quadruplet_code(
-    left: Tuple[int, int], right: Tuple[int, int], n: int
-) -> int:
-    """Scalar quadruplet code for canonicalised, ordered pairs.
-
-    Python integers never overflow, so this works at any *n*; only the
-    vectorised :func:`quadruplet_codes` is bounded by int64.
-    """
-    return ((left[0] * n + left[1]) * n + right[0]) * n + right[1]
-
-
-def canonical_quadruplet(
-    a: int, b: int, c: int, d: int
-) -> Tuple[Tuple[int, int], Tuple[int, int], bool]:
-    """Scalar canonicalisation: ``(left_pair, right_pair, flipped)``."""
-    left = (a, b) if a <= b else (b, a)
-    right = (c, d) if c <= d else (d, c)
-    if left > right:
-        return right, left, True
-    return left, right, False
+__all__ = [
+    "QUADRUPLET_INT64_MAX_N",
+    "canonical_quadruplets",
+    "comparison_codes",
+    "comparison_key",
+    "comparison_keys",
+    "quadruplet_key",
+    "quadruplet_keys",
+]

@@ -36,20 +36,22 @@ from repro.oracles.base import (
     check_index_arrays,
 )
 from repro.oracles.counting import QueryCounter
-from repro.store.keys import (
-    canonical_comparison,
-    canonical_quadruplet,
-    comparison_code,
-    comparison_codes,
-    quadruplet_code,
-    quadruplet_codes,
-    quadruplet_codes_fit,
+from repro.oracles.keys import (
+    QUADRUPLET_INT64_MAX_N,
+    comparison_key,
+    comparison_keys,
+    quadruplet_key,
+    quadruplet_keys,
 )
 from repro.store.warehouse import AnswerStore
 
 
 class _StoredOracleCore:
     """Shared store/counter plumbing of the two wrapper classes."""
+
+    #: Largest record count whose codes fit the warehouse's one-int64 keys
+    #: (``None``: no bound at any record count a process can hold).
+    _max_records: Optional[int] = None
 
     def __init__(
         self,
@@ -70,18 +72,16 @@ class _StoredOracleCore:
                 "pins the store's keyspace); wrap the backend in an oracle "
                 "that knows its record count"
             ) from None
+        if self._max_records is not None and n > self._max_records:
+            raise InvalidParameterError(
+                f"{type(self).__name__} serves at most {self._max_records:,} records, "
+                f"got {n:,}: warehouse keys are one int64 on disk, and the query "
+                f"codes of more records overflow it"
+            )
         store.bind_n_records(n)
 
     def __len__(self) -> int:
         return len(self.inner)
-
-    def _check(self, i: int) -> int:
-        i = int(i)
-        if not 0 <= i < len(self.inner):
-            raise InvalidParameterError(
-                f"record index {i} out of range for oracle over {len(self.inner)} records"
-            )
-        return i
 
     # -- scalar path ----------------------------------------------------------
 
@@ -177,11 +177,14 @@ class StoredComparisonOracle(_StoredOracleCore, BaseComparisonOracle):
     """
 
     def compare(self, i: int, j: int) -> bool:
-        i, j = self._check(i), self._check(j)
-        if i == j:
+        i, j = int(i), int(j)
+        n = len(self.inner)
+        if not (0 <= i < n and 0 <= j < n):
+            check_index_arrays(n, [i, j])
+        query = comparison_key(i, j, n)
+        if query is None:
             return True
-        lo, hi, flipped = canonical_comparison(i, j)
-        code = comparison_code(lo, hi, len(self.inner))
+        code, lo, hi, flipped = query
         return self._serve_one(
             code, flipped, lambda: self.inner.compare(lo, hi), self.counter, self.tag
         )
@@ -201,8 +204,7 @@ class StoredComparisonOracle(_StoredOracleCore, BaseComparisonOracle):
         i, j = _as_index_arrays(i, j)
         n = len(self.inner)
         check_index_arrays(n, i, j)
-        codes, flipped, trivial = comparison_codes(i, j, n)
-        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        codes, flipped, trivial, lo, hi = comparison_keys(i, j, n)
         return self._serve_codes(
             codes,
             flipped,
@@ -217,22 +219,27 @@ class StoredQuadrupletOracle(_StoredOracleCore, BaseQuadrupletOracle):
     """A :class:`BaseQuadrupletOracle` that answers from the warehouse first.
 
     Same contract as :class:`StoredComparisonOracle`, over the non-negative
-    quadruplet keyspace.  For record counts where the vectorised int64 code
-    encoding would overflow (``n**4 > 2**63 - 1``), the batch path falls
-    back to the scalar loop — Python integers never overflow, so the store
-    keeps working at any scale.
+    quadruplet keyspace.  Inner oracles over more than
+    :data:`~repro.oracles.keys.QUADRUPLET_INT64_MAX_N` (55,108) records are
+    rejected at construction: warehouse keys are one int64 on disk, and
+    quadruplet codes over more records do not fit one.
     """
 
+    _max_records = QUADRUPLET_INT64_MAX_N
+
     def compare(self, a: int, b: int, c: int, d: int) -> bool:
-        a, b, c, d = (self._check(a), self._check(b), self._check(c), self._check(d))
-        left, right, flipped = canonical_quadruplet(a, b, c, d)
-        if left == right:
+        a, b, c, d = int(a), int(b), int(c), int(d)
+        n = len(self.inner)
+        if not (0 <= a < n and 0 <= b < n and 0 <= c < n and 0 <= d < n):
+            check_index_arrays(n, [a, b, c, d])
+        query = quadruplet_key(a, b, c, d, n)
+        if query is None:
             return True
-        code = quadruplet_code(left, right, len(self.inner))
+        code, l1, l2, r1, r2, flipped = query
         return self._serve_one(
             code,
             flipped,
-            lambda: self.inner.compare(*left, *right),
+            lambda: self.inner.compare(l1, l2, r1, r2),
             self.counter,
             self.tag,
         )
@@ -253,38 +260,12 @@ class StoredQuadrupletOracle(_StoredOracleCore, BaseQuadrupletOracle):
         a, b, c, d = _as_index_arrays(a, b, c, d)
         n = len(self.inner)
         check_index_arrays(n, a, b, c, d)
-        use_counter = counter if counter is not None else self.counter
-        use_tag = tag if counter is not None else self.tag
-        if not quadruplet_codes_fit(n):
-            return np.fromiter(
-                (
-                    self._serve_scalar_with(int(w), int(x), int(y), int(z), use_counter, use_tag)
-                    for w, x, y, z in zip(a, b, c, d)
-                ),
-                dtype=bool,
-                count=len(a),
-            )
-        codes, flipped, trivial = quadruplet_codes(a, b, c, d, n)
-        lp1, lp2 = np.minimum(a, b), np.maximum(a, b)
-        rp1, rp2 = np.minimum(c, d), np.maximum(c, d)
-        L1 = np.where(flipped, rp1, lp1)
-        L2 = np.where(flipped, rp2, lp2)
-        R1 = np.where(flipped, lp1, rp1)
-        R2 = np.where(flipped, lp2, rp2)
+        codes, flipped, trivial, L1, L2, R1, R2 = quadruplet_keys(a, b, c, d, n)
         return self._serve_codes(
             codes,
             flipped,
             trivial,
             lambda pos: self.inner.compare_batch(L1[pos], L2[pos], R1[pos], R2[pos]),
-            use_counter,
-            use_tag,
-        )
-
-    def _serve_scalar_with(self, a, b, c, d, counter, tag) -> bool:
-        left, right, flipped = canonical_quadruplet(a, b, c, d)
-        if left == right:
-            return True
-        code = quadruplet_code(left, right, len(self.inner))
-        return self._serve_one(
-            code, flipped, lambda: self.inner.compare(*left, *right), counter, tag
+            counter if counter is not None else self.counter,
+            tag if counter is not None else self.tag,
         )

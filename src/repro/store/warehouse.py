@@ -1,8 +1,10 @@
 """The sharded crowd-answer warehouse: shard routing, read index, migration.
 
-:class:`AnswerStore` keeps, for every canonical query key (the int-code
-scheme of :mod:`repro.store.keys`), a multiset of noisy Yes/No answers — the
-*votes* — durably on disk in **format v2** (:mod:`repro.store.format`):
+:class:`AnswerStore` keeps, for every canonical query key (the int codes
+of :mod:`repro.oracles.keys`, one int64 each, which bounds stored
+quadruplet oracles to 55,108 records), a multiset of noisy Yes/No
+answers — the *votes* — durably on disk in **format v2**
+(:mod:`repro.store.format`):
 
 * ``manifest.json`` pins the format version, the shard count and the record
   count the codes are computed against.  Its presence is what makes a

@@ -17,6 +17,13 @@ from repro.oracles import (
     ProbabilisticNoise,
     ValueComparisonOracle,
 )
+from repro.oracles.keys import (
+    QUADRUPLET_INT64_MAX_N,
+    comparison_key,
+    comparison_keys,
+    quadruplet_key,
+    quadruplet_keys,
+)
 
 settings.register_profile(
     "repro", deadline=None, suppress_health_check=[HealthCheck.too_slow], max_examples=25
@@ -162,3 +169,105 @@ def test_value_space_rank_and_argmax_consistent(values):
     space = ValueSpace(values)
     assert space.rank_of(space.argmax()) == 1
     assert space.rank_of(space.argmin()) == len(values)
+
+
+# -- query keys (repro.oracles.keys) -----------------------------------------
+
+#: Record-count ranges on either side of the int64 bound of quadruplet codes.
+KEY_N_RANGES = {
+    "int64": (2, QUADRUPLET_INT64_MAX_N),
+    "object": (QUADRUPLET_INT64_MAX_N + 1, 2**40),
+}
+
+
+@st.composite
+def quadruplet_batches(draw, n_range):
+    """``(n, queries)``: indices drawn from a small pool so repeats are common."""
+    n = draw(st.integers(*n_range))
+    pool = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5))
+    index = st.sampled_from(pool)
+    queries = draw(st.lists(st.tuples(index, index, index, index), min_size=1, max_size=12))
+    return n, queries
+
+
+def _quadruplet_arrays(queries):
+    return [np.array(column, dtype=np.int64) for column in zip(*queries)]
+
+
+def _canonical_form(a, b, c, d):
+    return tuple(sorted([tuple(sorted((a, b))), tuple(sorted((c, d)))]))
+
+
+@pytest.mark.parametrize("n_range", KEY_N_RANGES.values(), ids=KEY_N_RANGES)
+@given(data=st.data())
+def test_scalar_and_vectorised_query_keys_agree(n_range, data):
+    n, queries = data.draw(quadruplet_batches(n_range))
+    codes, flipped, trivial, *canonical = quadruplet_keys(*_quadruplet_arrays(queries), n)
+    code_list = codes.tolist()
+    for pos, query in enumerate(queries):
+        key = quadruplet_key(*query, n)
+        assert trivial[pos] == (key is None)
+        if key is not None:
+            code, l1, l2, r1, r2, flip = key
+            assert code_list[pos] == code and type(code_list[pos]) is int
+            assert flipped[pos] == flip
+            assert [int(arr[pos]) for arr in canonical] == [l1, l2, r1, r2]
+    i, j = _quadruplet_arrays(queries)[:2]
+    codes, flipped, trivial, lo, hi = comparison_keys(i, j, n)
+    for pos, (x, y) in enumerate(zip(i.tolist(), j.tolist())):
+        key = comparison_key(x, y, n)
+        assert trivial[pos] == (key is None)
+        if key is not None:
+            assert (int(codes[pos]), int(lo[pos]), int(hi[pos]), bool(flipped[pos])) == key
+
+
+@pytest.mark.parametrize("n_range", KEY_N_RANGES.values(), ids=KEY_N_RANGES)
+@given(data=st.data())
+def test_query_presentations_share_one_code(n_range, data):
+    n, queries = data.draw(quadruplet_batches(n_range))
+    for a, b, c, d in queries:
+        key = quadruplet_key(a, b, c, d, n)
+        if key is None:
+            continue
+        code, flip = key[0], key[-1]
+        for same in ((b, a, c, d), (a, b, d, c), (b, a, d, c)):
+            assert quadruplet_key(*same, n)[::5] == (code, flip)
+        assert quadruplet_key(c, d, a, b, n)[::5] == (code, not flip)
+        if a != b:
+            forward, backward = comparison_key(a, b, n), comparison_key(b, a, n)
+            assert forward[0] == backward[0] and forward[3] != backward[3]
+
+
+@pytest.mark.parametrize("n_range", KEY_N_RANGES.values(), ids=KEY_N_RANGES)
+@given(data=st.data())
+def test_trivial_exactly_when_canonical_pairs_equal(n_range, data):
+    n, queries = data.draw(quadruplet_batches(n_range))
+    _, _, trivial, *_ = quadruplet_keys(*_quadruplet_arrays(queries), n)
+    expected = [sorted((a, b)) == sorted((c, d)) for a, b, c, d in queries]
+    assert trivial.tolist() == expected
+
+
+@pytest.mark.parametrize("n_range", KEY_N_RANGES.values(), ids=KEY_N_RANGES)
+@given(data=st.data())
+def test_distinct_canonical_queries_get_distinct_codes(n_range, data):
+    n, queries = data.draw(quadruplet_batches(n_range))
+    codes, _, trivial, *_ = quadruplet_keys(*_quadruplet_arrays(queries), n)
+    code_of = {}
+    for query, code, skip in zip(queries, codes.tolist(), trivial.tolist()):
+        if not skip:
+            assert code_of.setdefault(_canonical_form(*query), code) == code
+    assert len(set(code_of.values())) == len(code_of)
+    pairs = {tuple(sorted(query[:2])) for query in queries if query[0] != query[1]}
+    comparison_codes = {comparison_key(x, y, n)[0] for x, y in pairs}
+    assert len(comparison_codes) == len(pairs)
+
+
+@pytest.mark.parametrize("n_range", KEY_N_RANGES.values(), ids=KEY_N_RANGES)
+@given(data=st.data())
+def test_comparison_codes_negative_quadruplet_codes_non_negative(n_range, data):
+    n, queries = data.draw(quadruplet_batches(n_range))
+    a, b, c, d = _quadruplet_arrays(queries)
+    codes, _, trivial, *_ = quadruplet_keys(a, b, c, d, n)
+    assert all(code >= 0 for code in codes[~trivial].tolist())
+    codes, _, trivial, *_ = comparison_keys(a, b, n)
+    assert all(code < 0 for code in codes[~trivial].tolist())

@@ -31,8 +31,10 @@ from repro.exceptions import (
 from repro.kcenter.adversarial import kcenter_adversarial
 from repro.maximum.count_max import count_max
 from repro.metric.space import PointCloudSpace
+from repro.oracles.base import BaseQuadrupletOracle
 from repro.oracles.comparison import ValueComparisonOracle
 from repro.oracles.counting import QueryCounter
+from repro.oracles.keys import quadruplet_key
 from repro.oracles.noise import AdversarialNoise, ExactNoise, ProbabilisticNoise
 from repro.oracles.quadruplet import DistanceQuadrupletOracle
 from repro.service.core import CrowdOracleService, ServiceConfig
@@ -66,6 +68,20 @@ def _values(n=40, seed=0):
 
 def _space(n=30, seed=4):
     return PointCloudSpace(np.random.default_rng(seed).normal(size=(n, 2)))
+
+
+class _LineQuadrupletOracle(BaseQuadrupletOracle):
+    """Exact quadruplet oracle over *n* points on a line, point i at position i."""
+
+    def __init__(self, n):
+        self.n = n
+        self.counter = QueryCounter()
+
+    def __len__(self):
+        return self.n
+
+    def compare(self, a, b, c, d):
+        return abs(a - b) <= abs(c - d)
 
 
 class TestMajorityReadout:
@@ -1119,6 +1135,28 @@ class TestStoredOracles:
         assert batch_oracle.counter.snapshot() == scalar_oracle.counter.snapshot()
         store_a.close()
         store_b.close()
+
+    def test_quadruplet_wrapper_rejects_records_beyond_int64_keys(self, tmp_path):
+        store = AnswerStore(tmp_path / "s")
+        with pytest.raises(InvalidParameterError, match="55,108.*int64"):
+            StoredQuadrupletOracle(_LineQuadrupletOracle(55_109), store)
+        assert store.n_records is None  # rejected before the keyspace was pinned
+        store.close()
+
+    @pytest.mark.parametrize("path", ["scalar", "batch"])
+    def test_quadruplet_wrapper_serves_at_the_int64_bound(self, tmp_path, path):
+        query = (55_104, 55_105, 55_106, 55_107)
+        store = AnswerStore(tmp_path / "s")
+        wrapped = StoredQuadrupletOracle(_LineQuadrupletOracle(55_108), store)
+        if path == "scalar":
+            assert wrapped.compare(*query) is True
+        else:
+            assert wrapped.compare_batch(*([x] for x in query)).tolist() == [True]
+        assert wrapped.counter.total_queries == 1
+        store.close()
+        reopened = AnswerStore(tmp_path / "s")
+        assert reopened.lookup(quadruplet_key(*query, 55_108)[0]) is True
+        reopened.close()
 
 
 class TestStoreCli:
