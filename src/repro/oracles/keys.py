@@ -22,9 +22,10 @@ noise model or one store can hold both kinds.  Codes depend on *n*: codes
 computed against different record counts collide, which is why
 :class:`~repro.store.warehouse.AnswerStore` pins ``n_records`` on first use.
 
-Scalar codes are Python ints and exact at any *n*.  Vectorised quadruplet
-codes are int64 up to :data:`QUADRUPLET_INT64_MAX_N` records and exact
-Python ints (object dtype) above it; vectorised comparison codes are int64.
+Scalar codes are Python ints and exact at any *n*.  Vectorised codes are
+int64 up to :data:`QUADRUPLET_INT64_MAX_N` records for quadruplets and
+:data:`COMPARISON_INT64_MAX_N` records for comparisons, and exact Python
+ints (object dtype) above those bounds.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ import numpy as np
 #: Largest record count whose quadruplet codes fit one int64
 #: (55,108**4 <= 2**63 - 1 < 55,109**4).
 QUADRUPLET_INT64_MAX_N = 55_108
+
+#: Largest record count whose comparison codes fit one int64
+#: (3,037,000,499**2 <= 2**63 - 1 < 3,037,000,500**2).
+COMPARISON_INT64_MAX_N = 3_037_000_499
 
 
 def comparison_key(i: int, j: int, n: int) -> Optional[Tuple[int, int, int, bool]]:
@@ -70,11 +75,17 @@ def comparison_keys(i: np.ndarray, j: np.ndarray, n: int) -> tuple:
     """Vectorised :func:`comparison_key`: ``(codes, flipped, trivial, lo, hi)``.
 
     Every array is aligned with the inputs; trivial positions carry a code
-    too, which callers skip.
+    too, which callers skip.  The codes are int64 for
+    ``n <= COMPARISON_INT64_MAX_N`` and exact Python ints in an object array
+    above it, like :func:`quadruplet_keys`.
     """
     lo = np.minimum(i, j)
     hi = np.maximum(i, j)
-    codes = -(lo * np.int64(n) + hi) - 1
+    n = int(n)
+    if n > COMPARISON_INT64_MAX_N:
+        codes = -(lo.astype(object) * n + hi) - 1
+    else:
+        codes = -(lo * np.int64(n) + hi) - 1
     return codes, i > j, i == j, lo, hi
 
 

@@ -37,6 +37,7 @@ from repro.oracles.base import (
 )
 from repro.oracles.counting import QueryCounter
 from repro.oracles.keys import (
+    COMPARISON_INT64_MAX_N,
     QUADRUPLET_INT64_MAX_N,
     comparison_key,
     comparison_keys,
@@ -49,8 +50,7 @@ from repro.store.warehouse import AnswerStore
 class _StoredOracleCore:
     """Shared store/counter plumbing of the two wrapper classes."""
 
-    #: Largest record count whose codes fit the warehouse's one-int64 keys
-    #: (``None``: no bound at any record count a process can hold).
+    #: Largest record count whose codes fit the warehouse's one-int64 keys.
     _max_records: Optional[int] = None
 
     def __init__(
@@ -174,7 +174,14 @@ class StoredComparisonOracle(_StoredOracleCore, BaseComparisonOracle):
         Counter charged only on true misses (fresh by default).
     tag:
         Optional accounting tag.
+
+    Inner oracles over more than
+    :data:`~repro.oracles.keys.COMPARISON_INT64_MAX_N` records are rejected
+    at construction, for the same one-int64 reason as
+    :class:`StoredQuadrupletOracle`.
     """
+
+    _max_records = COMPARISON_INT64_MAX_N
 
     def compare(self, i: int, j: int) -> bool:
         i, j = int(i), int(j)
