@@ -17,9 +17,6 @@ result caching (a repeated sweep is served from cache)::
     python -m repro.experiments sweep --quick --seeds 4 --jobs 4
     python -m repro.experiments sweep fig6_kcenter --seeds 8 --param n_points=100,200
     python -m repro.experiments clean-cache
-
-The legacy spelling ``python -m repro.experiments fig6_kcenter --quick`` (no
-subcommand) still works and behaves like ``run``.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.engine import (
     ResultCache,
@@ -41,8 +38,6 @@ from repro.engine import (
     spec_names,
 )
 from repro.exceptions import InvalidParameterError
-
-SUBCOMMANDS = ("list", "run", "sweep", "clean-cache")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,23 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_clean.add_argument("--cache-dir", default=None, help="cache directory")
 
     return parser
-
-
-def _normalize_argv(argv: Sequence[str]) -> List[str]:
-    """Map the legacy interface onto the subcommand interface.
-
-    ``--list`` becomes ``list``; a leading experiment name becomes
-    ``run <name> ...``; no arguments lists the experiments.
-    """
-    argv = list(argv)
-    if not argv:
-        return ["list"]
-    if "--list" in argv:
-        return ["list"]
-    first_positional = next((a for a in argv if not a.startswith("-")), None)
-    if first_positional is not None and first_positional not in SUBCOMMANDS:
-        return ["run", *argv]
-    return argv
 
 
 def _single_params(assignments: Sequence[str]) -> dict:
@@ -244,7 +222,7 @@ def _cmd_clean_cache(args) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(_normalize_argv(argv))
+    args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help()
         return 2

@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--store-shards",
         type=int,
         default=None,
-        help="shard count when creating (or migrating) the warehouse; an "
+        help="shard count when creating the warehouse; an "
         "existing v2 store's manifest wins (default 8)",
     )
     parser.add_argument(

@@ -526,7 +526,7 @@ class CrowdOracleService:
             for request, result in zip(admitted, answers):
                 if not request.future.done():
                     request.future.set_result(result)
-        except Exception as error:  # pragma: no cover - defensive fan-out
+        except Exception as error:  # a backend failure fails every co-batched request
             for request in batch:
                 if not request.future.done():
                     request.future.set_exception(error)

@@ -7,10 +7,10 @@ the in-memory caches in :mod:`repro.oracles` and the per-session budgets in
 makes answers durable and shared:
 
 * :class:`~repro.store.warehouse.AnswerStore` — a warehouse sharded by key
-  hash into independent WAL+snapshot segments (format v2, versioned,
-  auto-migrating v1 stores on open), holding a multiset of noisy votes per
-  canonical query key and answering by majority once a configurable
-  replication factor is reached.  Appends group-commit (K appends inside
+  hash into independent WAL+snapshot segments (format v2, versioned; a
+  directory of the retired format v1 is refused), holding a multiset of
+  noisy votes per canonical query key and answering by majority once a
+  configurable replication factor is reached.  Appends group-commit (K appends inside
   the commit window share one fsync), warm reads come from an in-memory
   index that never touches disk, and per-shard advisory locks let several
   processes write disjoint shards of one store concurrently.  Repeated
@@ -25,8 +25,8 @@ makes answers durable and shared:
 * Integration with :class:`~repro.service.core.CrowdOracleService`
   (``store=`` parameter): concurrent sessions share one warehouse, and each
   session's counter records its own hit/miss/charged split.
-* ``python -m repro.store`` — ``stats`` / ``compact`` / ``migrate`` /
-  ``clean`` maintenance CLI.
+* ``python -m repro.store`` — ``stats`` / ``compact`` / ``clean``
+  maintenance CLI.
 
 Vote semantics, knobs and the multi-writer contract:
 ``docs/subsystems/store.md``.  Byte-level on-disk format:

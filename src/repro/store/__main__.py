@@ -11,11 +11,6 @@ Fold every shard's write-ahead log into a fresh snapshot::
 
     python -m repro.store compact --dir .repro-store
 
-Migrate a legacy v1 store to the sharded v2 format (any open migrates
-implicitly; this does it explicitly, with a chosen shard count)::
-
-    python -m repro.store migrate --dir .repro-store --shards 16
-
 Delete the store's on-disk files::
 
     python -m repro.store clean --dir .repro-store --yes
@@ -30,7 +25,6 @@ from typing import Optional, Sequence
 
 from repro import obs
 from repro.exceptions import InvalidParameterError, StoreError
-from repro.store import format as fmt
 from repro.store.warehouse import AnswerStore
 
 #: Default store directory, matching the service CLI's ``--store-dir`` default.
@@ -74,17 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
         "compact", help="fold every shard's WAL into a snapshot and truncate the logs"
     )
     p_compact.add_argument("--dir", default=DEFAULT_STORE_DIR, help="store directory")
-
-    p_migrate = sub.add_parser(
-        "migrate", help="migrate a legacy v1 store to the sharded v2 format"
-    )
-    p_migrate.add_argument("--dir", default=DEFAULT_STORE_DIR, help="store directory")
-    p_migrate.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help=f"shard count for the migrated store (default {fmt.DEFAULT_N_SHARDS})",
-    )
 
     p_clean = sub.add_parser("clean", help="delete the store's on-disk files")
     p_clean.add_argument("--dir", default=DEFAULT_STORE_DIR, help="store directory")
@@ -152,36 +135,6 @@ def _cmd_compact(args) -> int:
     return 0
 
 
-def _cmd_migrate(args) -> int:
-    from pathlib import Path
-
-    directory = Path(args.dir)
-    already_v2 = fmt.manifest_path(directory).exists()
-    was_v1 = not already_v2 and fmt.is_v1_layout(directory)
-    # Opening performs the migration (it is the same code path every caller
-    # hits); the explicit subcommand exists so operators can pick the shard
-    # count and get a clear report.
-    with AnswerStore(args.dir, n_shards=args.shards) as store:
-        stats = store.stats()
-    if already_v2:
-        print(
-            f"store: {args.dir} is already format v{stats['format']} "
-            f"({stats['n_shards']} shard(s)); nothing to migrate"
-        )
-    elif not was_v1:
-        print(
-            f"store: created {args.dir} fresh at format v{stats['format']} "
-            f"({stats['n_shards']} shard(s)); no v1 store was present"
-        )
-    else:
-        print(
-            f"store: migrated {args.dir} to format v{stats['format']}: "
-            f"{stats['n_keys']} key(s) / {stats['n_votes']} vote(s) across "
-            f"{stats['n_shards']} shard(s)"
-        )
-    return 0
-
-
 def _cmd_clean(args) -> int:
     if not args.yes:
         print("error: clean deletes the warehouse; pass --yes to confirm", file=sys.stderr)
@@ -203,7 +156,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return {
             "stats": _cmd_stats,
             "compact": _cmd_compact,
-            "migrate": _cmd_migrate,
             "clean": _cmd_clean,
         }[args.command](args)
     except (StoreError, InvalidParameterError) as error:

@@ -31,21 +31,19 @@ Format v2 in one picture::
   the result is always in ``[0, n_shards)`` for negative codes too), so a
   key's shard is a pure function of the code and the manifest.
 * The **manifest** is the v2 commitment point: a directory with a readable
-  ``manifest.json`` is a v2 store; a directory with top-level ``wal.jsonl``
-  or ``snapshot.json`` and *no* manifest is a legacy v1 store awaiting
-  migration (:func:`read_v1_store` parses it).
+  ``manifest.json`` is a v2 store.
 
-Version history: v1 (single flat WAL + snapshot, one global writer lock) is
-read-only legacy — it is auto-migrated to v2 on open and never written.
+Version history: v1 (a flat ``wal.jsonl`` plus ``snapshot.json`` at the top
+level) is no longer read; :func:`is_v1_layout` recognises it so that opening
+one is refused instead of creating an empty v2 store next to its votes.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-import warnings
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,20 +53,15 @@ from repro.storage import framing
 #: Current on-disk format.  Bump when the layout changes incompatibly.
 STORE_FORMAT_VERSION = 2
 
-#: The legacy single-file format this code can still read (and migrate).
-V1_FORMAT_VERSION = 1
-
 #: Shard count used when a new store is created without an explicit choice.
 DEFAULT_N_SHARDS = 8
 
-#: File names.  The v2 shard WAL is a binary log (text JSON header line,
-#: then length-prefixed CRC-checked records); the legacy v1 WAL was JSONL.
+#: File names.  The shard WAL is a binary log (text JSON header line, then
+#: length-prefixed CRC-checked records).
 MANIFEST_NAME = "manifest.json"
 SHARDS_DIR_NAME = "shards"
 WAL_NAME = "wal.log"
-V1_WAL_NAME = "wal.jsonl"
 SNAPSHOT_NAME = "snapshot.json"
-MIGRATE_LOCK_NAME = ".migrate.lock"
 
 #: Width of the zero-padded shard directory names (9999 shards max).
 SHARD_ID_WIDTH = 4
@@ -97,19 +90,9 @@ def shard_snapshot_path(directory: Path, shard: int) -> Path:
     return shard_dir(directory, shard) / SNAPSHOT_NAME
 
 
-def v1_wal_path(directory: Path) -> Path:
-    """Path of the legacy v1 flat WAL."""
-    return directory / V1_WAL_NAME
-
-
-def v1_snapshot_path(directory: Path) -> Path:
-    """Path of the legacy v1 flat snapshot."""
-    return directory / SNAPSHOT_NAME
-
-
 def is_v1_layout(directory: Path) -> bool:
-    """Whether *directory* holds legacy v1 store files at its top level."""
-    return v1_wal_path(directory).exists() or v1_snapshot_path(directory).exists()
+    """Whether *directory* holds files of the retired v1 format at its top level."""
+    return (directory / "wal.jsonl").exists() or (directory / SNAPSHOT_NAME).exists()
 
 
 # -- shard routing -------------------------------------------------------------
@@ -157,7 +140,7 @@ def decode_manifest(raw: str, source: Path) -> Tuple[int, Optional[int]]:
     if version != STORE_FORMAT_VERSION:
         raise StoreError(
             f"{source} has format version {version!r}; this code reads version "
-            f"{STORE_FORMAT_VERSION} (and migrates version {V1_FORMAT_VERSION})"
+            f"{STORE_FORMAT_VERSION}"
         )
     try:
         n_shards = int(payload["n_shards"])
@@ -325,123 +308,3 @@ def decode_shard_snapshot(
         raise StoreCorruptionError(f"snapshot {source} is unreadable: {error}") from error
     return votes, int(payload.get("last_seq", 0))
 
-
-# -- legacy v1 reader ----------------------------------------------------------
-
-
-def decode_vote(line: str) -> Tuple[int, int, bool]:
-    """Parse one legacy v1 vote record ``[seq, code, answer]``; raises ``ValueError``.
-
-    The fast path inverts the v1 framing by string surgery — migration
-    replays every v1 vote and a real JSON parse per record triples its
-    cost.  ``int()`` rejects anything that is not a plain signed integer
-    and the answer field must be ``0`` or ``1``, so any record this path
-    cannot prove well-formed (JSON booleans, trailing garbage) falls
-    through to ``json.loads``, which keeps the full validation semantics.
-    """
-    stripped = line.strip()
-    if stripped.startswith("[") and stripped.endswith("]"):
-        parts = stripped[1:-1].split(",")
-        if len(parts) == 3:
-            answer_s = parts[2].strip()
-            if answer_s in ("0", "1"):
-                try:
-                    return int(parts[0]), int(parts[1]), answer_s == "1"
-                except ValueError:
-                    pass
-    seq, code, answer = json.loads(line)
-    return int(seq), int(code), bool(answer)
-
-
-def _check_v1_format(version: Any, source: Path) -> None:
-    if version != V1_FORMAT_VERSION:
-        raise StoreError(
-            f"{source} has format version {version!r}; this code reads version "
-            f"{STORE_FORMAT_VERSION} and migrates version {V1_FORMAT_VERSION}, "
-            "but a newer format at the legacy file location cannot be interpreted"
-        )
-
-
-def read_v1_store(
-    directory: Path,
-) -> Tuple[Dict[int, List[int]], Optional[int], int]:
-    """Read a legacy v1 store; returns ``(votes, n_records, n_votes)``.
-
-    Reproduces the v1 load semantics exactly: snapshot first, then WAL
-    replay skipping sequences the snapshot already folded in, tolerating a
-    torn trailing line with a :class:`RuntimeWarning`.  Purely read-only —
-    migration (not this function) deletes the v1 files once v2 is committed.
-    """
-    votes: Dict[int, List[int]] = {}
-    n_records: Optional[int] = None
-    last_seq = 0
-
-    snap = v1_snapshot_path(directory)
-    try:
-        raw = snap.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raw = None
-    if raw is not None:
-        try:
-            payload = json.loads(raw)
-            if not isinstance(payload, dict):
-                raise ValueError("snapshot is not an object")
-        except (json.JSONDecodeError, ValueError) as error:
-            raise StoreCorruptionError(f"snapshot {snap} is unreadable: {error}") from error
-        _check_v1_format(payload.get("format"), snap)
-        try:
-            votes = {
-                int(code): [int(yes), int(no)]
-                for code, (yes, no) in payload["votes"].items()
-            }
-        except (KeyError, TypeError, ValueError) as error:
-            raise StoreCorruptionError(f"snapshot {snap} is unreadable: {error}") from error
-        if payload.get("n_records") is not None:
-            n_records = int(payload["n_records"])
-        last_seq = int(payload.get("last_seq", 0))
-
-    wal = v1_wal_path(directory)
-    try:
-        lines = wal.read_text(encoding="utf-8").splitlines()
-    except FileNotFoundError:
-        lines = []
-    if lines:
-        try:
-            header = json.loads(lines[0])
-            if not isinstance(header, dict):
-                raise ValueError("WAL header is not an object")
-        except (json.JSONDecodeError, ValueError) as error:
-            raise StoreCorruptionError(
-                f"WAL {wal} has an unreadable header: {error}"
-            ) from error
-        _check_v1_format(header.get("format"), wal)
-        if header.get("n_records") is not None:
-            if n_records is not None and int(header["n_records"]) != n_records:
-                raise StoreCorruptionError(
-                    f"v1 store {directory}: WAL header n_records "
-                    f"{header['n_records']} disagrees with snapshot {n_records}"
-                )
-            n_records = int(header["n_records"])
-        for lineno, line in enumerate(lines[1:], start=2):
-            try:
-                seq, code, answer = decode_vote(line)
-            except (json.JSONDecodeError, TypeError, ValueError):
-                dropped = len(lines) - lineno + 1
-                warnings.warn(
-                    f"answer store WAL {wal}: corrupt entry at line {lineno}; "
-                    f"dropping {dropped} trailing line(s) (torn write from an "
-                    "interrupted run)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                break
-            if seq <= last_seq:
-                continue  # already folded into the snapshot by a compaction
-            pair = votes.get(code)
-            if pair is None:
-                votes[code] = [int(answer), int(not answer)]
-            else:
-                pair[0 if answer else 1] += 1
-
-    n_votes = sum(pair[0] + pair[1] for pair in votes.values())
-    return votes, n_records, n_votes

@@ -120,8 +120,11 @@ class _StoredOracleCore:
         hits, exactly as a scalar loop over the same queries would see.  The
         counter records every non-trivial query at the end (hits via
         ``cached_mask``), clamping to the scalar prefix on a budget overrun
-        just like the concrete oracles.  Every non-trivial query counts once
-        in ``store.lookup_hits`` or ``store.lookup_misses``, as in the
+        just like the concrete oracles.  Only the counter clamps: when the
+        overrun is raised, the warehouse already holds a vote for every
+        first-occurrence miss of the *whole* batch (a scalar loop stops
+        storing at the over-budget query).  Every non-trivial query counts
+        once in ``store.lookup_hits`` or ``store.lookup_misses``, as in the
         scalar path, however many probe rounds it took.
         """
         m = len(codes)

@@ -68,7 +68,7 @@ class GroupCommitPolicy:
     * ``"always"`` — every append batch fsyncs (one fsync per
       ``add_votes`` call, still amortised over the batch).
     * ``"none"`` — never fsync; durability is whatever the OS page cache
-      gives you (the legacy v1 behaviour).
+      gives you.
     """
 
     mode: str = "group"

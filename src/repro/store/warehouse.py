@@ -1,4 +1,4 @@
-"""The sharded crowd-answer warehouse: shard routing, read index, migration.
+"""The sharded crowd-answer warehouse: shard routing, read index, durability.
 
 :class:`AnswerStore` keeps, for every canonical query key (the int codes
 of :mod:`repro.oracles.keys`, one int64 each, which bounds stored
@@ -8,9 +8,8 @@ answers — the *votes* — durably on disk in **format v2**
 
 * ``manifest.json`` pins the format version, the shard count and the record
   count the codes are computed against.  Its presence is what makes a
-  directory a v2 store; a directory holding the legacy flat ``wal.jsonl`` /
-  ``snapshot.json`` instead is a v1 store and is migrated in place the first
-  time it is opened (losslessly — every vote carries over).
+  directory a v2 store; a directory holding the retired flat v1 files
+  (``wal.jsonl`` / ``snapshot.json``) instead is refused on open.
 * ``shards/<id>/`` holds one :class:`~repro.store.shard.StoreShard` per
   shard: an append-only WAL plus a compacted snapshot.  Keys route to shards
   by ``code % n_shards``, and shards are fully independent — separate
@@ -34,7 +33,7 @@ accumulate and then answers by majority, so independent noisy answers
 *reduce* the effective error rate instead of merely being reused.
 
 The byte-level layout lives in ``docs/subsystems/store-format.md``; the
-operational guide (knobs, multi-writer contract, migration) in
+operational guide (knobs, multi-writer contract) in
 ``docs/subsystems/store.md``.
 """
 
@@ -47,19 +46,11 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-try:  # POSIX advisory locking; absent on some platforms (best-effort guard).
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None
-
 from repro import obs
 from repro.exceptions import InvalidParameterError, StoreError
 from repro.storage import write_file_atomic
 from repro.store import format as fmt
 from repro.store.shard import GroupCommitPolicy, StoreShard
-
-#: Re-exported for callers that pinned the v1 name.
-STORE_FORMAT_VERSION = fmt.STORE_FORMAT_VERSION
 
 DEFAULT_N_SHARDS = fmt.DEFAULT_N_SHARDS
 
@@ -96,8 +87,8 @@ class AnswerStore:
         :class:`~repro.exceptions.StoreError` instead of losing votes.
         Opening creates the directory and its ``manifest.json`` if absent
         (create the store *before* spawning concurrent writers, so they
-        agree on the shard count), and transparently migrates a legacy v1
-        store in place.
+        agree on the shard count).  A directory that holds a store of the
+        retired format v1 raises :class:`~repro.exceptions.StoreError`.
     replication:
         Votes required before a key serves answers (see
         :func:`majority_readout`).  ``1`` = pure dedup.
@@ -113,15 +104,15 @@ class AnswerStore:
         attaches; a mismatch with the on-disk value raises
         :class:`~repro.exceptions.StoreError`.
     n_shards:
-        Shard count for a store created (or migrated) by this open; an
+        Shard count for a store created by this open; an
         existing v2 store's manifest wins, and passing a conflicting value
         raises :class:`~repro.exceptions.StoreError`.  ``None`` defers to
         the manifest or, for new stores, to :data:`DEFAULT_N_SHARDS`.
     sync:
         Durability policy: ``"group"`` (default — fsyncs batched inside
         *group_commit_window*), ``"always"`` (fsync every append batch) or
-        ``"none"`` (leave durability to the OS page cache, the v1
-        behaviour).  See :class:`~repro.store.shard.GroupCommitPolicy`.
+        ``"none"`` (leave durability to the OS page cache).  See
+        :class:`~repro.store.shard.GroupCommitPolicy`.
     group_commit_window:
         Group-commit window in seconds (only meaningful with
         ``sync="group"``).
@@ -185,7 +176,7 @@ class AnswerStore:
         """Shard id owning *code* under this store's shard count."""
         return fmt.shard_of(int(code), self.n_shards)
 
-    # -- opening / migration ---------------------------------------------------
+    # -- opening ----------------------------------------------------------------
 
     def _open(self) -> None:
         with obs.span("store.open", subsystem="store"), obs.timer("store.open_seconds"):
@@ -194,7 +185,13 @@ class AnswerStore:
     def _open_inner(self) -> None:
         manifest = self.manifest_path
         if not manifest.exists() and fmt.is_v1_layout(self.directory):
-            self._migrate_v1()
+            # Checked before anything is written: opening a v1 directory as
+            # a fresh store would hide its votes behind an empty v2 one.
+            raise StoreError(
+                f"{self.directory} holds a store of format version 1, which "
+                f"is no longer read (this code reads version "
+                f"{fmt.STORE_FORMAT_VERSION})"
+            )
         if manifest.exists():
             disk_shards, disk_records = fmt.decode_manifest(
                 manifest.read_text(encoding="utf-8"), manifest
@@ -208,7 +205,6 @@ class AnswerStore:
                 )
             self.n_shards = disk_shards
             self._bind_n_records_value(disk_records, "the manifest")
-            self._remove_v1_leftovers()
         else:
             self.n_shards = self._requested_shards or fmt.DEFAULT_N_SHARDS
             self._write_manifest()
@@ -220,73 +216,6 @@ class AnswerStore:
         for shard in self._shards:
             shard.load()
         self._rebuild_index()
-
-    def _migrate_v1(self) -> None:
-        """Rewrite a legacy v1 store as format v2, in place, losslessly.
-
-        Guarded by a blocking ``flock`` on ``.migrate.lock`` so concurrent
-        openers serialise: the winner migrates, the others wait, re-check the
-        manifest and find the work done.  The manifest write is the commit
-        point — every shard snapshot is fully on disk (and fsynced) before
-        it lands, and the v1 files are deleted only after.  A crash *before*
-        the manifest leaves the v1 files authoritative (the partial
-        ``shards/`` tree is wiped and rebuilt on the next open); a crash
-        *after* leaves v1 leftovers that :meth:`_remove_v1_leftovers` clears.
-        """
-        self.directory.mkdir(parents=True, exist_ok=True)
-        lock_path = self.directory / fmt.MIGRATE_LOCK_NAME
-        handle = lock_path.open("w")
-        try:
-            if fcntl is not None:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            if self.manifest_path.exists():
-                return  # another process migrated while we waited on the lock
-            votes, n_records, _ = fmt.read_v1_store(self.directory)
-            n_shards = self._requested_shards or fmt.DEFAULT_N_SHARDS
-            shards_dir = self.directory / fmt.SHARDS_DIR_NAME
-            if shards_dir.exists():
-                shutil.rmtree(shards_dir)  # partial earlier attempt: rebuild
-            per_shard: List[Dict[int, List[int]]] = [{} for _ in range(n_shards)]
-            for code, pair in votes.items():
-                per_shard[fmt.shard_of(code, n_shards)][code] = pair
-            for shard, shard_votes in enumerate(per_shard):
-                fmt.shard_dir(self.directory, shard).mkdir(parents=True, exist_ok=True)
-                self._write_file_fsync(
-                    fmt.shard_snapshot_path(self.directory, shard),
-                    fmt.encode_shard_snapshot(shard, n_shards, 0, shard_votes),
-                )
-                self._write_file_fsync(
-                    fmt.shard_wal_path(self.directory, shard),
-                    fmt.encode_shard_header(shard, n_shards),
-                )
-            if n_records is not None:
-                self._bind_n_records_value(n_records, "the migrated v1 store")
-            self.n_shards = n_shards
-            self._write_manifest()  # commit point: the store is now v2
-            self._remove_v1_leftovers()
-        finally:
-            handle.close()
-        try:
-            lock_path.unlink()
-        except FileNotFoundError:
-            pass
-
-    @staticmethod
-    def _write_file_fsync(path: Path, payload: str) -> None:
-        with path.open("w", encoding="utf-8") as out:
-            out.write(payload)
-            out.flush()
-            os.fsync(out.fileno())
-
-    def _remove_v1_leftovers(self) -> None:
-        # A manifest only ever lands after the shards are complete, so v1
-        # files found next to one are leftovers of a crash between the
-        # migration commit and the v1 cleanup — never authoritative.
-        for path in (fmt.v1_wal_path(self.directory), fmt.v1_snapshot_path(self.directory)):
-            try:
-                path.unlink()
-            except FileNotFoundError:
-                pass
 
     def _write_manifest(self) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -516,17 +445,11 @@ class AnswerStore:
         """Delete the store's on-disk files; returns how many were removed."""
         self.close()
         removed = 0
-        for path in (
-            fmt.v1_wal_path(self.directory),
-            fmt.v1_snapshot_path(self.directory),
-            self.manifest_path,
-            self.directory / fmt.MIGRATE_LOCK_NAME,
-        ):
-            try:
-                path.unlink()
-                removed += 1
-            except FileNotFoundError:
-                pass
+        try:
+            self.manifest_path.unlink()
+            removed += 1
+        except FileNotFoundError:
+            pass
         shards_dir = self.directory / fmt.SHARDS_DIR_NAME
         if shards_dir.exists():
             for _, _, files in os.walk(shards_dir):

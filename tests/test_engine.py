@@ -365,6 +365,11 @@ class TestEngineCLI:
     def test_sweep_unknown_experiment(self, capsys):
         assert cli_main(["sweep", "nope"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
+        assert cli_main(["run", "does_not_exist"]) == 2
+        assert "unknown experiment" in capsys.readouterr().err
+        # No subcommand prints the help and exits 2.
+        assert cli_main([]) == 2
+        assert "usage:" in capsys.readouterr().out
 
     def test_sweep_bad_param_exits_2(self, capsys):
         assert cli_main(["sweep", "fig4_user_study", "--param", "mu=1"]) == 2
@@ -405,13 +410,6 @@ class TestEngineCLI:
         assert cli_main(["list"]) == 0
         out = capsys.readouterr().out
         assert "Figure 6" in out and "Table 1" in out
-
-    def test_legacy_spellings_still_work(self, capsys):
-        assert cli_main([]) == 0
-        assert "fig6_kcenter" in capsys.readouterr().out
-        assert cli_main(["--list"]) == 0
-        capsys.readouterr()
-        assert cli_main(["does_not_exist"]) == 2
 
 
 class TestSpecRegistryGuards:

@@ -248,20 +248,20 @@ class TestTables:
 
 class TestCLI:
     def test_list(self, capsys):
-        assert cli_main(["--list"]) == 0
+        assert cli_main(["list"]) == 0
         out = capsys.readouterr().out
         for name in EXPERIMENTS:
             assert name in out
 
     def test_unknown_experiment(self, capsys):
-        assert cli_main(["does_not_exist"]) == 2
+        assert cli_main(["run", "does_not_exist"]) == 2
 
     def test_run_quick_experiment(self, capsys):
-        assert cli_main(["fig9_nn_noise", "--quick", "--seed", "1"]) == 0
+        assert cli_main(["run", "fig9_nn_noise", "--quick", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "normalized_distance" in out
 
     def test_run_csv_output(self, capsys):
-        assert cli_main(["fig9_nn_noise", "--quick", "--csv"]) == 0
+        assert cli_main(["run", "fig9_nn_noise", "--quick", "--csv"]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0].startswith("dataset,")

@@ -36,6 +36,7 @@ from repro.service import (
 )
 from repro.service.__main__ import main as service_main
 from repro.service.load import run_comparison_load
+from repro.store import AnswerStore
 
 #: Per-test asyncio timeout guard, seconds.
 GUARD = 20.0
@@ -304,6 +305,48 @@ class TestBudgets:
                 with pytest.raises(QueryBudgetExceededError):
                     await session.compare_batch(np.arange(16), np.arange(16) + 1)
                 assert session.counter.charged_queries == 11
+
+        run_async(scenario())
+
+
+class _FlakyComparisonOracle(ValueComparisonOracle):
+    """A comparison backend whose ``compare_batch`` raises while ``failing`` is set."""
+
+    failing = False
+
+    def compare_batch(self, i, j):
+        if self.failing:
+            raise RuntimeError("crowd backend unavailable")
+        return super().compare_batch(i, j)
+
+
+class TestBackendFailure:
+    @pytest.mark.parametrize("with_store", [False, True], ids=["storeless", "store"])
+    def test_backend_error_fails_every_co_batched_request(self, tmp_path, with_store):
+        async def scenario():
+            values = _values()
+            backend = _FlakyComparisonOracle(values, noise=ExactNoise())
+            store = AnswerStore(tmp_path / "s") if with_store else None
+            # One in-flight slot: a slot the failed batch failed to release
+            # would block the follow-up request below.
+            config = ServiceConfig(batch_window=0.01, latency=0.0, max_inflight=1)
+            async with CrowdOracleService(
+                comparison=backend, config=config, store=store
+            ) as service:
+                first, second = service.open_session(), service.open_session()
+                backend.failing = True
+                results = await asyncio.gather(
+                    first.compare(0, 1), second.compare(2, 3), return_exceptions=True
+                )
+                assert service.stats.n_batches == 1  # the two requests co-batched
+                assert isinstance(results[0], RuntimeError)
+                assert results[1] is results[0]
+                backend.failing = False
+                answer = await asyncio.wait_for(first.compare(0, 1), 2.0)
+                assert answer == (values[0] <= values[1])
+            if store is not None:
+                assert store.n_votes == 1  # only the answer that succeeded
+                store.close()
 
         run_async(scenario())
 

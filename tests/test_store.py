@@ -1,13 +1,13 @@
 """Tests for the persistent crowd-answer warehouse (`repro.store`).
 
 Covers the sharded v2 on-disk format (manifest, per-shard WAL + snapshot,
-group commit, crash recovery, v1 migration, versioning), vote aggregation
-and readout, concurrent multi-process writers over disjoint shards, the
-warehouse-backed oracle wrappers (cold bit-identity with the direct path,
-warm-store query savings, replication), the maintenance CLI, and the
-shared-store integration with the crowd-oracle service.  Async service
-tests reuse the per-test ``asyncio.wait_for`` guard convention of
-``tests/test_service.py``.
+group commit, crash recovery, versioning, refusal of the retired v1
+format), vote aggregation and readout, concurrent multi-process writers
+over disjoint shards, the warehouse-backed oracle wrappers (cold
+bit-identity with the direct path, warm-store query savings, replication),
+the maintenance CLI, and the shared-store integration with the
+crowd-oracle service.  Async service tests reuse the per-test
+``asyncio.wait_for`` guard convention of ``tests/test_service.py``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.metric.space import PointCloudSpace
 from repro.oracles.base import BaseQuadrupletOracle
 from repro.oracles.comparison import ValueComparisonOracle
 from repro.oracles.counting import QueryCounter
-from repro.oracles.keys import quadruplet_key
+from repro.oracles.keys import comparison_key, quadruplet_key
 from repro.oracles.noise import AdversarialNoise, ExactNoise, ProbabilisticNoise
 from repro.oracles.quadruplet import DistanceQuadrupletOracle
 from repro.service.core import CrowdOracleService, ServiceConfig
@@ -379,36 +379,44 @@ class TestWalRecovery:
         assert again.lookup(40) is True
         again.close()
 
+    @staticmethod
+    def _empty_shard(directory):
+        """A 1-shard store with no votes; returns its shard directory."""
+        AnswerStore(directory, n_shards=1).close()
+        shard = fmt.shard_dir(directory, 0)
+        shard.mkdir(parents=True, exist_ok=True)
+        return shard
+
     def test_corrupt_header_raises(self, tmp_path):
         directory = tmp_path / "s"
-        directory.mkdir()
-        (directory / "wal.jsonl").write_text("garbage header\n[1, 2, 1]\n")
+        shard = self._empty_shard(directory)
+        (shard / fmt.WAL_NAME).write_bytes(b"garbage header\n" + fmt.encode_votes(1, [2], [True]))
         with pytest.raises(StoreCorruptionError, match="header"):
             AnswerStore(directory)
 
     def test_corrupt_snapshot_raises(self, tmp_path):
         directory = tmp_path / "s"
-        directory.mkdir()
-        (directory / "snapshot.json").write_text("{truncated")
+        shard = self._empty_shard(directory)
+        (shard / fmt.SNAPSHOT_NAME).write_text("{truncated")
         with pytest.raises(StoreCorruptionError, match="snapshot"):
             AnswerStore(directory)
 
     def test_future_format_version_rejected(self, tmp_path):
         directory = tmp_path / "s"
-        directory.mkdir()
-        (directory / "snapshot.json").write_text(
-            json.dumps({"format": 99, "n_records": 5, "last_seq": 0, "votes": {}})
+        shard = self._empty_shard(directory)
+        (shard / fmt.SNAPSHOT_NAME).write_text(
+            json.dumps({"format": 99, "shard": 0, "n_shards": 1, "last_seq": 0, "votes": {}})
         )
         with pytest.raises(StoreError, match="format version"):
             AnswerStore(directory)
 
     def test_future_format_with_restructured_votes_is_a_version_error(self, tmp_path):
-        # A v2 snapshot that reshapes the votes payload must report as a
+        # A newer snapshot that reshapes the votes payload must report as a
         # version mismatch (actionable), not as corruption (alarming).
         directory = tmp_path / "s"
-        directory.mkdir()
-        (directory / "snapshot.json").write_text(
-            json.dumps({"format": 2, "votes": [["1", 1, 0, 0.9]]})
+        shard = self._empty_shard(directory)
+        (shard / fmt.SNAPSHOT_NAME).write_text(
+            json.dumps({"format": 3, "votes": [["1", 1, 0, 0.9]]})
         )
         with pytest.raises(StoreError, match="format version") as excinfo:
             AnswerStore(directory)
@@ -416,8 +424,8 @@ class TestWalRecovery:
 
     def test_empty_wal_loads(self, tmp_path):
         directory = tmp_path / "s"
-        directory.mkdir()
-        (directory / "wal.jsonl").write_text("")
+        shard = self._empty_shard(directory)
+        (shard / fmt.WAL_NAME).write_bytes(b"")
         store = AnswerStore(directory)
         assert len(store) == 0
         store.close()
@@ -629,109 +637,59 @@ class TestGroupCommit:
         assert store.stats()["n_fsyncs"] == 1
 
 
-class TestMigration:
-    def _write_v1(self, directory, with_snapshot=True):
-        """Hand-craft a legacy v1 store: 3 keys, 6 votes, n_records=50."""
-        directory.mkdir(parents=True, exist_ok=True)
-        if with_snapshot:
-            (directory / "snapshot.json").write_text(
-                json.dumps(
-                    {
-                        "format": 1,
-                        "n_records": 50,
-                        "last_seq": 3,
-                        "n_keys": 2,
-                        "votes": {"-5": [2, 1], "12": [0, 1]},
-                    }
-                )
+def _write_v1(directory, with_snapshot=True, with_wal=True):
+    """Hand-craft a store of the retired format v1: 3 keys, 6 votes, n_records=50."""
+    directory.mkdir(parents=True, exist_ok=True)
+    if with_snapshot:
+        (directory / "snapshot.json").write_text(
+            json.dumps(
+                {
+                    "format": 1,
+                    "n_records": 50,
+                    "last_seq": 3,
+                    "n_keys": 2,
+                    "votes": {"-5": [2, 1], "12": [0, 1]},
+                }
             )
-            header = {"format": 1, "n_records": 50}
-            # Seqs 1-3 are folded into the snapshot; 4-6 are fresh.
-            records = [(3, 12, 0), (4, -5, 0), (5, -9, 1), (6, 12, 1)]
-        else:
-            header = {"format": 1, "n_records": 50}
-            records = [(1, -5, 1), (2, -5, 1), (3, 12, 0), (4, -5, 0), (5, -9, 1), (6, 12, 1)]
-        lines = [json.dumps(header)] + [json.dumps(list(r)) for r in records]
-        (directory / "wal.jsonl").write_text("".join(l + "\n" for l in lines))
-        return {-5: (2, 2), 12: (1, 1), -9: (1, 0)} if with_snapshot else {
-            -5: (2, 1),
-            12: (1, 1),
-            -9: (1, 0),
-        }
+        )
+        # Seqs 1-3 are folded into the snapshot; 4-6 are fresh.
+        records = [(3, 12, 0), (4, -5, 0), (5, -9, 1), (6, 12, 1)]
+    else:
+        records = [(1, -5, 1), (2, -5, 1), (3, 12, 0), (4, -5, 0), (5, -9, 1), (6, 12, 1)]
+    if with_wal:
+        lines = [json.dumps({"format": 1, "n_records": 50})]
+        lines += [json.dumps(list(r)) for r in records]
+        (directory / "wal.jsonl").write_text("".join(line + "\n" for line in lines))
 
-    def test_v1_store_migrates_losslessly_on_open(self, tmp_path):
-        directory = tmp_path / "s"
-        expected = self._write_v1(directory)
-        store = AnswerStore(directory, n_shards=3)
-        # Equivalence on every vote, not just resolved answers.
-        assert {code: tuple(votes) for code, votes, in
-                ((c, store.votes(c)) for c in expected)} == expected
-        assert dict((c, (y, n)) for c, y, n in store.iter_votes()) == {
-            c: v for c, v in expected.items()
-        }
-        assert store.n_records == 50
-        assert not (directory / "wal.jsonl").exists()
-        assert not (directory / "snapshot.json").exists()
-        assert fmt.manifest_path(directory).exists()
-        store.close()
 
-    def test_v1_wal_only_store_migrates(self, tmp_path):
-        directory = tmp_path / "s"
-        expected = self._write_v1(directory, with_snapshot=False)
-        store = AnswerStore(directory)
-        for code, votes in expected.items():
-            assert store.votes(code) == votes
-        store.close()
+def _tree(directory):
+    """Every path under *directory*, mapped to its bytes (``None`` for directories)."""
+    return {
+        str(path.relative_to(directory)): path.read_bytes() if path.is_file() else None
+        for path in directory.rglob("*")
+    }
 
-    def test_migration_survives_kill_before_commit(self, tmp_path):
-        # Window A: shards partially written, no manifest yet.  The v1 files
-        # are still authoritative; reopening wipes the partial tree and
-        # migrates again.
-        directory = tmp_path / "s"
-        expected = self._write_v1(directory)
-        poison = fmt.shard_dir(directory, 0)
-        poison.mkdir(parents=True)
-        (poison / fmt.WAL_NAME).write_text("partial garbage from a dead migration\n")
-        store = AnswerStore(directory, n_shards=2)
-        for code, votes in expected.items():
-            assert store.votes(code) == votes
-        store.close()
 
-    def test_migration_survives_kill_after_commit(self, tmp_path):
-        # Window B: manifest committed but v1 files not yet deleted.  The
-        # manifest wins; the v1 leftovers are cleared, no vote is read twice.
-        directory = tmp_path / "s"
-        expected = self._write_v1(directory)
-        store = AnswerStore(directory, n_shards=2)
-        store.close()
-        self._write_v1(directory)  # resurrect the v1 files next to the manifest
-        reopened = AnswerStore(directory)
-        for code, votes in expected.items():
-            assert reopened.votes(code) == votes  # not doubled
-        assert not (directory / "wal.jsonl").exists()
-        reopened.close()
+class TestRetiredV1Format:
+    """Format v1 is no longer read: opening one is refused and writes nothing."""
 
-    def test_migrated_store_serves_and_extends(self, tmp_path):
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            {"with_snapshot": False},
+            {"with_wal": False},
+            {},
+        ],
+        ids=["wal-only", "snapshot-only", "wal-and-snapshot"],
+    )
+    def test_open_refuses_v1_and_leaves_it_untouched(self, tmp_path, layout):
         directory = tmp_path / "s"
-        self._write_v1(directory)
-        store = AnswerStore(directory)
-        assert store.lookup(-9) is True
-        store.add_vote(-5, True)  # -5 was tied 2-2; this resolves it
-        assert store.lookup(-5) is True
-        store.close()
-        reopened = AnswerStore(directory)
-        assert reopened.votes(-5) == (3, 2)
-        reopened.close()
-
-    def test_v1_torn_tail_tolerated_during_migration(self, tmp_path):
-        directory = tmp_path / "s"
-        self._write_v1(directory)
-        with (directory / "wal.jsonl").open("a") as handle:
-            handle.write("[7, -9")
-        with pytest.warns(RuntimeWarning, match="corrupt entry"):
-            store = AnswerStore(directory)
-        assert store.votes(-9) == (1, 0)
-        store.close()
+        _write_v1(directory, **layout)
+        before = _tree(directory)
+        with pytest.raises(StoreError, match="format version 1") as info:
+            AnswerStore(directory)
+        assert str(directory) in str(info.value)
+        assert _tree(directory) == before  # no manifest, no shards/, same bytes
 
 
 def _disjoint_writer(directory, parity, n_votes, barrier, failures):
@@ -745,11 +703,6 @@ def _disjoint_writer(directory, parity, n_votes, barrier, failures):
         store.close()
     except BaseException as error:  # pragma: no cover - failure reporting
         failures.put(repr(error))
-
-
-def _migrate_worker(directory, results):
-    """Worker: run the migrate subcommand and report its exit code."""
-    results.put(store_main(["migrate", "--dir", str(directory), "--shards", "2"]))
 
 
 def _lock_holder(directory, code, acquired, release, failures):
@@ -988,6 +941,50 @@ class TestStoredOracles:
         assert scalar["store.lookup_misses"] == batched["store.lookup_misses"] == 3
         assert scalar == batched
 
+    @pytest.mark.parametrize("kind", ["comparison", "quadruplet"])
+    def test_budget_overrun_inside_a_batch(self, tmp_path, kind):
+        # The third query repeats the first (a warehouse hit); with budget 3
+        # the fifth is the first over-budget charge.  The counter clamps to
+        # the scalar loop's prefix, but the warehouse has already stored a
+        # vote for every first-occurrence miss of the whole batch.
+        if kind == "comparison":
+            queries = [(0, 1), (1, 2), (0, 1), (2, 3), (3, 4), (4, 5)]
+        else:
+            queries = [(0, 1, 2, 3), (1, 2, 3, 4), (0, 1, 2, 3), (2, 3, 4, 5),
+                       (3, 4, 5, 6), (4, 5, 6, 7)]
+
+        def build(directory):
+            store = AnswerStore(directory)
+            counter = QueryCounter(budget=3)
+            if kind == "comparison":
+                inner = ValueComparisonOracle(_values(), noise=ProbabilisticNoise(p=0.25, seed=4))
+                return store, StoredComparisonOracle(inner, store, counter=counter)
+            inner = DistanceQuadrupletOracle(_space(), noise=ProbabilisticNoise(p=0.25, seed=4))
+            return store, StoredQuadrupletOracle(inner, store, counter=counter)
+
+        def state(oracle):
+            counter = oracle.counter
+            return counter.total_queries, counter.charged_queries, counter.cached_queries
+
+        def code(query):
+            key = comparison_key if kind == "comparison" else quadruplet_key
+            return key(*query, len(scalar))[0]
+
+        scalar_store, scalar = build(tmp_path / "scalar")
+        with pytest.raises(QueryBudgetExceededError):
+            for query in queries:
+                scalar.compare(*query)
+        batch_store, batched = build(tmp_path / "batch")
+        with pytest.raises(QueryBudgetExceededError):
+            batched.compare_batch(*(np.array(column) for column in zip(*queries)))
+        assert state(batched) == state(scalar) == (5, 4, 1)
+        distinct = list(dict.fromkeys(code(query) for query in queries))
+        assert sorted(scalar_store.codes()) == sorted(distinct[:4])
+        assert sorted(batch_store.codes()) == sorted(distinct)
+        assert (scalar_store.n_votes, batch_store.n_votes) == (4, 5)
+        scalar_store.close()
+        batch_store.close()
+
     def test_orientation_consistency_served_from_store(self, tmp_path):
         store = AnswerStore(tmp_path / "s")
         inner = ValueComparisonOracle(
@@ -1195,106 +1192,20 @@ class TestStoreCli:
         assert f"{DEFAULT_N_SHARDS} shard(s)" in out
         assert "shard    0:" in out
 
-    def test_migrate_subcommand(self, tmp_path, capsys):
+    def test_stats_on_v1_store_is_a_cli_error(self, tmp_path, capsys):
         directory = tmp_path / "s"
-        directory.mkdir()
-        header = json.dumps({"format": 1, "n_records": 9})
-        records = [json.dumps([k + 1, -(k + 1), 1]) for k in range(5)]
-        (directory / "wal.jsonl").write_text(
-            "".join(line + "\n" for line in [header] + records)
-        )
-        assert store_main(["migrate", "--dir", str(directory), "--shards", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "migrated" in out and "3 shard(s)" in out
-        assert fmt.manifest_path(directory).exists()
-        assert not (directory / "wal.jsonl").exists()
-        # Re-running reports idempotence.
-        assert store_main(["migrate", "--dir", str(directory)]) == 0
-        assert "already" in capsys.readouterr().out
+        _write_v1(directory)
+        before = _tree(directory)
+        assert store_main(["stats", "--dir", str(directory)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "format version 1" in err
+        assert _tree(directory) == before
 
-    def test_migrate_already_v2_reports_nothing_to_do(self, tmp_path, capsys):
-        directory = str(tmp_path / "s")
-        self._populate(directory)  # creates a v2 store
-        assert store_main(["migrate", "--dir", directory]) == 0
-        out = capsys.readouterr().out
-        assert "already" in out and "nothing to migrate" in out
-
-    def test_migrate_shard_count_conflict_is_a_cli_error(self, tmp_path, capsys):
-        # The manifest pins the layout; asking migrate for a different count
-        # must fail loudly, not silently reshard or silently ignore the flag.
-        directory = str(tmp_path / "s")
-        self._populate(directory)
-        rc = store_main(
-            ["migrate", "--dir", directory, "--shards", str(DEFAULT_N_SHARDS + 1)]
-        )
-        assert rc == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_migrate_without_manifest_or_v1_creates_fresh(self, tmp_path, capsys):
-        directory = tmp_path / "never-existed"
-        assert store_main(["migrate", "--dir", str(directory), "--shards", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "fresh" in out and "no v1 store was present" in out
-        assert fmt.manifest_path(directory).exists()
-        with AnswerStore(directory) as store:
-            assert store.n_shards == 2
-
-    def test_migrate_corrupt_v1_fails_without_committing(self, tmp_path, capsys):
-        directory = tmp_path / "s"
-        directory.mkdir()
-        (directory / "wal.jsonl").write_text("garbage header\n")
-        assert store_main(["migrate", "--dir", str(directory)]) == 1
-        assert "error:" in capsys.readouterr().err
-        # The manifest is the commit point; a failed migration must not leave
-        # one behind (the v1 files stay authoritative for a retry).
-        assert not fmt.manifest_path(directory).exists()
-        assert (directory / "wal.jsonl").exists()
-
-    def test_migrate_with_stale_lock_file_proceeds(self, tmp_path, capsys):
-        # A leftover .migrate.lock from a crashed migration holds no flock;
-        # the next migrate must take it, finish, and clean it up.
-        directory = tmp_path / "s"
-        directory.mkdir()
-        header = json.dumps({"format": 1, "n_records": 9})
-        (directory / "wal.jsonl").write_text(
-            header + "\n" + json.dumps([1, 3, 1]) + "\n"
-        )
-        (directory / fmt.MIGRATE_LOCK_NAME).touch()
-        assert store_main(["migrate", "--dir", str(directory)]) == 0
-        assert "migrated" in capsys.readouterr().out
-        assert not (directory / fmt.MIGRATE_LOCK_NAME).exists()
-        with AnswerStore(directory) as store:
-            assert store.lookup(3) is True
-
-    def test_concurrent_migrations_serialize_on_the_lock(self, tmp_path):
-        # Two processes race `migrate` on one v1 store: flock on
-        # .migrate.lock serialises them, the winner migrates, the loser
-        # finds the manifest and reports idempotence — both exit 0 and no
-        # vote is lost or double-counted.
-        pytest.importorskip("fcntl")
-        directory = tmp_path / "s"
-        directory.mkdir()
-        header = json.dumps({"format": 1, "n_records": 9})
-        records = [json.dumps([k + 1, k, 1]) for k in range(5)]
-        (directory / "wal.jsonl").write_text(
-            "".join(line + "\n" for line in [header] + records)
-        )
-        ctx = multiprocessing.get_context("fork")
-        results = ctx.Queue()
-        workers = [
-            ctx.Process(target=_migrate_worker, args=(directory, results))
-            for _ in range(2)
-        ]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=MP_GUARD)
-        assert sorted(results.get(timeout=5.0) for _ in workers) == [0, 0]
-        with AnswerStore(directory) as store:
-            assert store.n_shards == 2
-            assert store.n_votes == 5
-            for k in range(5):
-                assert store.lookup(k) is True
+    def test_migrate_subcommand_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            store_main(["migrate", "--dir", str(tmp_path / "s")])
+        assert info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_no_command_prints_help(self, capsys):
         assert store_main([]) == 2
