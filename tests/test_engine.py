@@ -371,6 +371,15 @@ class TestEngineCLI:
         assert cli_main([]) == 2
         assert "usage:" in capsys.readouterr().out
 
+    def test_legacy_spellings_are_rejected(self, capsys):
+        # The pre-subcommand spellings (--list, a bare experiment name) are
+        # argparse errors now, not aliases for list / run <name>.
+        for argv in (["--list"], ["fig4_user_study", "--quick"]):
+            with pytest.raises(SystemExit) as info:
+                cli_main(argv)
+            assert info.value.code == 2
+            assert "usage:" in capsys.readouterr().err
+
     def test_sweep_bad_param_exits_2(self, capsys):
         assert cli_main(["sweep", "fig4_user_study", "--param", "mu=1"]) == 2
         assert "not accepted" in capsys.readouterr().err

@@ -38,6 +38,7 @@ from repro.oracles.keys import comparison_key, quadruplet_key
 from repro.oracles.noise import AdversarialNoise, ExactNoise, ProbabilisticNoise
 from repro.oracles.quadruplet import DistanceQuadrupletOracle
 from repro.service.core import CrowdOracleService, ServiceConfig
+from repro.service.__main__ import main as service_main
 from repro.service.load import run_comparison_load
 from repro.store import (
     DEFAULT_N_SHARDS,
@@ -691,6 +692,56 @@ class TestRetiredV1Format:
         assert str(directory) in str(info.value)
         assert _tree(directory) == before  # no manifest, no shards/, same bytes
 
+    def test_is_v1_layout_looks_only_for_top_level_v1_files(self, tmp_path):
+        assert not fmt.is_v1_layout(tmp_path / "missing")
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert not fmt.is_v1_layout(empty)
+        v2 = tmp_path / "v2"
+        with AnswerStore(v2, n_shards=2) as store:
+            store.add_votes([0, 1], [True, False])
+            store.compact()  # shard-level snapshot.json files exist now
+        assert not fmt.is_v1_layout(v2)
+        for name, layout in [
+            ("wal-only", {"with_snapshot": False}),
+            ("snapshot-only", {"with_wal": False}),
+        ]:
+            _write_v1(tmp_path / name, **layout)
+            assert fmt.is_v1_layout(tmp_path / name)
+
+    def test_unrelated_files_do_not_block_a_fresh_store(self, tmp_path):
+        directory = tmp_path / "s"
+        directory.mkdir()
+        (directory / "notes.txt").write_text("kept")
+        (directory / "wal.jsonl.bak").write_text("not a v1 log")
+        with AnswerStore(directory) as store:
+            store.add_vote(7, True)
+        assert fmt.manifest_path(directory).exists()
+        assert (directory / "notes.txt").read_text() == "kept"
+        with AnswerStore(directory) as reopened:
+            assert reopened.lookup(7) is True
+
+    def test_stray_v1_files_beside_a_manifest_are_left_alone(self, tmp_path):
+        # The manifest marks a v2 store; top-level v1 files next to it (for
+        # instance leftovers of an interrupted migration by older code) are
+        # neither read nor deleted, and the v2 votes are served as before.
+        directory = tmp_path / "s"
+        with AnswerStore(directory, n_shards=2) as store:
+            store.add_votes([3, 3, 4], [True, True, False])
+        _write_v1(directory)
+        stray = {
+            name: (directory / name).read_bytes()
+            for name in ("wal.jsonl", "snapshot.json")
+        }
+        with AnswerStore(directory) as reopened:
+            assert reopened.n_shards == 2
+            assert reopened.n_votes == 3
+            assert reopened.lookup(3) is True
+            assert reopened.lookup(4) is False
+            assert reopened.lookup(-5) is None  # a v1 key: never imported
+        for name, data in stray.items():
+            assert (directory / name).read_bytes() == data
+
 
 def _disjoint_writer(directory, parity, n_votes, barrier, failures):
     """Worker: append *n_votes* votes whose codes all route to one shard."""
@@ -1197,6 +1248,39 @@ class TestStoreCli:
         _write_v1(directory)
         before = _tree(directory)
         assert store_main(["stats", "--dir", str(directory)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "format version 1" in err
+        assert _tree(directory) == before
+
+    @pytest.mark.parametrize(
+        "argv", [["compact"], ["clean", "--yes"]], ids=["compact", "clean"]
+    )
+    def test_maintenance_on_v1_store_is_a_cli_error(self, tmp_path, capsys, argv):
+        # clean must not delete a v1 store's votes either: it opens the
+        # store first, and the open refuses.
+        directory = tmp_path / "s"
+        _write_v1(directory)
+        before = _tree(directory)
+        assert store_main(argv + ["--dir", str(directory)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "format version 1" in err
+        assert _tree(directory) == before
+
+    def test_service_cli_refuses_a_v1_store_dir(self, tmp_path, capsys):
+        directory = tmp_path / "s"
+        _write_v1(directory, with_snapshot=False)
+        before = _tree(directory)
+        rc = service_main(
+            [
+                "--sessions", "2",
+                "--queries", "3",
+                "--records", "50",
+                "--latency-ms", "0",
+                "--window-ms", "1",
+                "--store-dir", str(directory),
+            ]
+        )
+        assert rc == 2
         err = capsys.readouterr().err
         assert "error:" in err and "format version 1" in err
         assert _tree(directory) == before
