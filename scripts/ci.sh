@@ -72,6 +72,7 @@ run_bench() {
     # count that differs between passes, makes run.py exit non-zero.
     python3 perfbench/run.py --workload paper-noisy --seed 1 --seconds 8 --trace 0
     python3 perfbench/run.py --workload crowd-serve --seed 1 --seconds 8 --trace 0
+    python3 perfbench/run.py --workload crowd-serve --seed 1 --seconds 8 --trace 1
     echo "== obs sample trace: seeded service run + summarize round trip =="
     # Mirrors the CI artifact step: write a trace, prove it summarizes.
     python -m repro.service --sessions 4 --queries 25 \

@@ -321,21 +321,24 @@ class CrowdOracleService:
         self._running = True
 
     async def stop(self) -> None:
-        """Flush in-flight work, fail still-queued requests, stop collecting."""
+        """Finish in-flight work, fail still-queued requests, stop collecting.
+
+        Batches already dispatched — and the one the collector has already
+        taken off the queue — run to completion, simulated latency included.
+        Requests still waiting in the queue, and those of producers blocked
+        on a full queue, fail with :class:`~repro.exceptions.ServiceClosedError`
+        without reaching the backend or the warehouse.  No request future is
+        left pending once this returns.
+        """
         if not self._running:
             return
         self._running = False
+        await self._fail_queued()
         await self._queue.put(None)  # wake the collector with the sentinel
         await self._collector
         if self._inflight_tasks:
             await asyncio.gather(*self._inflight_tasks, return_exceptions=True)
-        # Anything still queued (submitted concurrently with shutdown) fails.
-        while not self._queue.empty():
-            leftover = self._queue.get_nowait()
-            if leftover is not None and not leftover.future.done():
-                leftover.future.set_exception(
-                    ServiceClosedError("crowd-oracle service stopped")
-                )
+        await self._fail_queued()
         if obs.enabled():
             # Fold the backend oracles' QueryCounters into the registry so
             # charged-vs-cached per tag shows up next to the service metrics.
@@ -351,6 +354,22 @@ class CrowdOracleService:
             # Pay any group-commit fsync still pending, so every answer the
             # service acknowledged is durable when the service is.
             self.store.flush()
+
+    async def _fail_queued(self) -> None:
+        """Fail every queued request with :class:`ServiceClosedError`.
+
+        Each ``get_nowait`` lets one producer blocked on the full queue put
+        its request; yielding once lets it in, so the sweep ends with the
+        queue empty and no producer left waiting on it.
+        """
+        while not self._queue.empty():
+            while not self._queue.empty():
+                leftover = self._queue.get_nowait()
+                if leftover is not None and not leftover.future.done():
+                    leftover.future.set_exception(
+                        ServiceClosedError("crowd-oracle service stopped")
+                    )
+            await asyncio.sleep(0)
 
     async def __aenter__(self) -> "CrowdOracleService":
         await self.start()

@@ -63,6 +63,10 @@ SHARDS_DIR_NAME = "shards"
 WAL_NAME = "wal.log"
 SNAPSHOT_NAME = "snapshot.json"
 
+#: Top-level files of the retired v1 format (``snapshot.json`` at the top
+#: level, not inside a shard directory).
+V1_FILE_NAMES = ("wal.jsonl", SNAPSHOT_NAME)
+
 #: Width of the zero-padded shard directory names (9999 shards max).
 SHARD_ID_WIDTH = 4
 
@@ -92,7 +96,7 @@ def shard_snapshot_path(directory: Path, shard: int) -> Path:
 
 def is_v1_layout(directory: Path) -> bool:
     """Whether *directory* holds files of the retired v1 format at its top level."""
-    return (directory / "wal.jsonl").exists() or (directory / SNAPSHOT_NAME).exists()
+    return any((directory / name).exists() for name in V1_FILE_NAMES)
 
 
 # -- shard routing -------------------------------------------------------------

@@ -19,10 +19,17 @@ query is re-forwarded until enough votes accumulate; genuinely *independent*
 votes require an inner oracle whose answers are not persisted per query
 (e.g. ``ProbabilisticNoise(persistent=False)``, or per-run noise seeds),
 which is documented in ``docs/subsystems/store.md``.
+
+Two serving paths give identical answers, counter records, votes and WAL
+bytes: batches of at most ``_SMALL_BATCH`` queries and the scalar
+``compare`` go query by query through plain Python lists
+(:meth:`_StoredOracleCore._serve_small`), larger batches through array
+rounds (:meth:`_StoredOracleCore._serve_codes`).
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,6 +39,7 @@ from repro.exceptions import InvalidParameterError
 from repro.oracles.base import (
     BaseComparisonOracle,
     BaseQuadrupletOracle,
+    _SMALL_BATCH,
     _as_index_arrays,
     check_index_arrays,
 )
@@ -83,21 +91,76 @@ class _StoredOracleCore:
     def __len__(self) -> int:
         return len(self.inner)
 
-    # -- scalar path ----------------------------------------------------------
+    # -- small-batch path -----------------------------------------------------
 
-    def _serve_one(self, code: int, flipped: bool, ask_inner, counter, tag) -> bool:
-        stored = self.store.lookup(code)
-        if stored is not None:
-            if obs.enabled():
-                obs.inc("store.lookup_hits")
-            counter.record(cached=True, tag=tag)
-            return (not stored) if flipped else stored
+    def _serve_small(
+        self, queries: list, counter: QueryCounter, tag: Optional[str]
+    ) -> list:
+        """Serve a few keyed queries through the warehouse, in plain Python.
+
+        *queries* holds, per query, its scalar key tuple
+        (``(code, *canonical indices, flipped)`` from
+        :func:`~repro.oracles.keys.comparison_key` or
+        :func:`~repro.oracles.keys.quadruplet_key`) or ``None`` when trivial;
+        returns the answers as a list of bools.  The rounds, the order of
+        the forwarded queries, the votes, the counter records and the obs
+        counts are those of :meth:`_serve_codes` over the same queries: one
+        :meth:`~repro.store.warehouse.AnswerStore.lookup_batch` call per
+        round (the first over every non-trivial query, later ones over the
+        unresolved repeats), the first occurrence of each unresolved code
+        forwarded through the inner ``compare_batch``, and one ``add_votes``
+        call per round.  Used for batches of at most ``_SMALL_BATCH``
+        queries and for the scalar ``compare``.
+        """
+        out = [True] * len(queries)
+        active = [pos for pos, query in enumerate(queries) if query is not None]
+        if not active:
+            return out
+        codes = [queries[pos][0] for pos in active]
+        resolved, answers = self.store.lookup_batch(codes)
+        cached_mask = resolved.tolist()
+        canonical = answers.tolist()
+        pending = [k for k, hit in enumerate(cached_mask) if not hit]
+        while pending:
+            # First occurrence of each distinct unresolved code, in batch
+            # order — the order persistent noise draws depend on.
+            first: dict = {}
+            for k in pending:
+                first.setdefault(codes[k], k)
+            ask = list(first.values())
+            asked = [queries[active[k]][1:-1] for k in ask]
+            fresh = self.inner.compare_batch(*zip(*asked)).tolist()
+            self.store.add_votes(list(first), fresh)
+            for k, answer in zip(ask, fresh):
+                canonical[k] = answer
+            rest = [k for k in pending if first[codes[k]] != k]
+            if rest:
+                res_now, ans_now = self.store.lookup_batch([codes[k] for k in rest])
+                for k, hit, answer in zip(rest, res_now.tolist(), ans_now.tolist()):
+                    if hit:
+                        canonical[k] = answer
+                        cached_mask[k] = True
+                rest = [k for k in rest if not cached_mask[k]]
+            pending = rest
+        for k, pos in enumerate(active):
+            out[pos] = canonical[k] != queries[pos][-1]
         if obs.enabled():
-            obs.inc("store.lookup_misses")
-        answer = bool(ask_inner())
-        self.store.add_vote(code, answer)
-        counter.record(tag=tag)
-        return (not answer) if flipped else answer
+            n_hits = sum(cached_mask)
+            obs.inc("store.lookup_hits", n_hits)
+            obs.inc("store.lookup_misses", len(active) - n_hits)
+        counter.record_batch(len(active), cached_mask=cached_mask, tag=tag)
+        return out
+
+    def _serve_small_batch(
+        self, key, columns: tuple, counter: QueryCounter, tag: Optional[str]
+    ) -> np.ndarray:
+        """:meth:`_serve_small` over index arrays: validate, key with *key*, serve."""
+        n = len(self.inner)
+        columns = [column.tolist() for column in columns]
+        if columns[0] and (min(map(min, columns)) < 0 or max(map(max, columns)) >= n):
+            check_index_arrays(n, *columns)
+        queries = list(map(key, *columns, repeat(n)))
+        return np.array(self._serve_small(queries, counter, tag), dtype=bool)
 
     # -- batched path ---------------------------------------------------------
 
@@ -191,13 +254,7 @@ class StoredComparisonOracle(_StoredOracleCore, BaseComparisonOracle):
         n = len(self.inner)
         if not (0 <= i < n and 0 <= j < n):
             check_index_arrays(n, [i, j])
-        query = comparison_key(i, j, n)
-        if query is None:
-            return True
-        code, lo, hi, flipped = query
-        return self._serve_one(
-            code, flipped, lambda: self.inner.compare(lo, hi), self.counter, self.tag
-        )
+        return self._serve_small([comparison_key(i, j, n)], self.counter, self.tag)[0]
 
     def compare_batch(self, i, j) -> np.ndarray:
         return self.serve_batch(i, j, counter=self.counter, tag=self.tag)
@@ -211,7 +268,11 @@ class StoredComparisonOracle(_StoredOracleCore, BaseComparisonOracle):
         *submitting session's* counter — with warehouse hits recorded as
         cached — instead of the wrapper's own.
         """
+        if counter is None:
+            counter, tag = self.counter, self.tag
         i, j = _as_index_arrays(i, j)
+        if len(i) <= _SMALL_BATCH:
+            return self._serve_small_batch(comparison_key, (i, j), counter, tag)
         n = len(self.inner)
         check_index_arrays(n, i, j)
         codes, flipped, trivial, lo, hi = comparison_keys(i, j, n)
@@ -220,8 +281,8 @@ class StoredComparisonOracle(_StoredOracleCore, BaseComparisonOracle):
             flipped,
             trivial,
             lambda pos: self.inner.compare_batch(lo[pos], hi[pos]),
-            counter if counter is not None else self.counter,
-            tag if counter is not None else self.tag,
+            counter,
+            tag,
         )
 
 
@@ -243,16 +304,7 @@ class StoredQuadrupletOracle(_StoredOracleCore, BaseQuadrupletOracle):
         if not (0 <= a < n and 0 <= b < n and 0 <= c < n and 0 <= d < n):
             check_index_arrays(n, [a, b, c, d])
         query = quadruplet_key(a, b, c, d, n)
-        if query is None:
-            return True
-        code, l1, l2, r1, r2, flipped = query
-        return self._serve_one(
-            code,
-            flipped,
-            lambda: self.inner.compare(l1, l2, r1, r2),
-            self.counter,
-            self.tag,
-        )
+        return self._serve_small([query], self.counter, self.tag)[0]
 
     def compare_batch(self, a, b, c, d) -> np.ndarray:
         return self.serve_batch(a, b, c, d, counter=self.counter, tag=self.tag)
@@ -267,7 +319,11 @@ class StoredQuadrupletOracle(_StoredOracleCore, BaseQuadrupletOracle):
         tag: Optional[str] = None,
     ) -> np.ndarray:
         """:meth:`compare_batch` charging an explicit counter (service hook)."""
+        if counter is None:
+            counter, tag = self.counter, self.tag
         a, b, c, d = _as_index_arrays(a, b, c, d)
+        if len(a) <= _SMALL_BATCH:
+            return self._serve_small_batch(quadruplet_key, (a, b, c, d), counter, tag)
         n = len(self.inner)
         check_index_arrays(n, a, b, c, d)
         codes, flipped, trivial, L1, L2, R1, R2 = quadruplet_keys(a, b, c, d, n)
@@ -276,6 +332,6 @@ class StoredQuadrupletOracle(_StoredOracleCore, BaseQuadrupletOracle):
             flipped,
             trivial,
             lambda pos: self.inner.compare_batch(L1[pos], L2[pos], R1[pos], R2[pos]),
-            counter if counter is not None else self.counter,
-            tag if counter is not None else self.tag,
+            counter,
+            tag,
         )

@@ -333,6 +333,9 @@ class AnswerStore:
         per_shard: List[Tuple[int, np.ndarray, np.ndarray]] = []
         if n_shards == 1:
             per_shard.append((0, codes_arr, answers_arr))
+        elif len(codes_arr) == 1:
+            # One vote (a served single query): route it without the sort.
+            per_shard.append((int(codes_arr[0]) % n_shards, codes_arr, answers_arr))
         else:
             # Vectorised partition: stable sort by shard id, then slice —
             # no per-vote Python work (numpy ``%`` matches Python's sign
@@ -391,16 +394,19 @@ class AnswerStore:
         """Resolved canonical answer for *code*, or ``None`` when unresolved."""
         return self._resolved.get(int(code))
 
-    def lookup_batch(self, codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def lookup_batch(
+        self, codes: np.ndarray | List[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorised :meth:`lookup`: ``(resolved_mask, answers)`` arrays.
 
-        One read-index probe per key — never touches disk, never recomputes
-        a readout.  ``answers`` is only meaningful where ``resolved_mask``
-        is true.
+        *codes* is an integer array or a list of plain ints (the stored
+        oracles' small-batch path passes lists).  One read-index probe per
+        key — never touches disk, never recomputes a readout.  ``answers``
+        is only meaningful where ``resolved_mask`` is true.
         """
         m = len(codes)
         index = self._resolved
-        code_list = codes.tolist()
+        code_list = codes if isinstance(codes, list) else codes.tolist()
         # ``map`` keeps both probe loops at the C level: dict.__contains__
         # returns cached bool singletons, so neither pass allocates per key.
         hits = np.fromiter(map(index.__contains__, code_list), dtype=bool, count=m)
@@ -442,14 +448,22 @@ class AnswerStore:
         return self.directory
 
     def clean(self) -> int:
-        """Delete the store's on-disk files; returns how many were removed."""
+        """Delete the store's on-disk files; returns how many were removed.
+
+        Stray top-level files of the retired v1 format beside the manifest
+        go too: left behind, they would make the next open of the
+        directory refuse it as a v1 store.
+        """
         self.close()
         removed = 0
-        try:
-            self.manifest_path.unlink()
-            removed += 1
-        except FileNotFoundError:
-            pass
+        for path in [self.manifest_path] + [
+            self.directory / name for name in fmt.V1_FILE_NAMES
+        ]:
+            try:
+                path.unlink()
+                removed += 1
+            except FileNotFoundError:
+                pass
         shards_dir = self.directory / fmt.SHARDS_DIR_NAME
         if shards_dir.exists():
             for _, _, files in os.walk(shards_dir):

@@ -1,10 +1,14 @@
 """Property-based tests (hypothesis) on core invariants of the library."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.evaluation.fscore import pairwise_fscore, pairwise_precision_recall
 from repro.hierarchical import exact_linkage
 from repro.kcenter import greedy_kcenter_exact, kcenter_objective
@@ -17,6 +21,8 @@ from repro.oracles import (
     ProbabilisticNoise,
     ValueComparisonOracle,
 )
+from repro.oracles.base import _SMALL_BATCH
+from repro.oracles.counting import QueryCounter
 from repro.oracles.keys import (
     QUADRUPLET_INT64_MAX_N,
     comparison_key,
@@ -24,6 +30,8 @@ from repro.oracles.keys import (
     quadruplet_key,
     quadruplet_keys,
 )
+from repro.oracles.quadruplet import DistanceQuadrupletOracle
+from repro.store import AnswerStore, StoredComparisonOracle, StoredQuadrupletOracle
 
 settings.register_profile(
     "repro", deadline=None, suppress_health_check=[HealthCheck.too_slow], max_examples=25
@@ -271,3 +279,100 @@ def test_comparison_codes_negative_quadruplet_codes_non_negative(n_range, data):
     assert all(code >= 0 for code in codes[~trivial].tolist())
     codes, _, trivial, *_ = comparison_keys(a, b, n)
     assert all(code < 0 for code in codes[~trivial].tolist())
+
+
+# -- stored oracles: small-batch path against the vectorised rounds -----------
+
+#: Record count of the stored-oracle properties: small, so queries repeat.
+STORED_N = 8
+
+
+@st.composite
+def stored_batches(draw, kind):
+    """``(warm, batch)``: query lists for a stored oracle of *kind*.
+
+    Indices come from a pool of at most four records, so repeats and trivial
+    queries are common; each query is presented reversed with probability
+    one half.  *warm* (served first, on both sides alike) gives the store
+    hits and, under replication, unresolved keys.
+    """
+    index = st.sampled_from(draw(st.lists(st.integers(0, STORED_N - 1), min_size=1, max_size=4)))
+    arity = 2 if kind == "comparison" else 4
+    drawn = draw(st.lists(st.tuples(*[index] * arity), min_size=1, max_size=_SMALL_BATCH))
+    reverse = draw(st.lists(st.booleans(), min_size=len(drawn), max_size=len(drawn)))
+    half = arity // 2
+    batch = [q[half:] + q[:half] if flip else q for q, flip in zip(drawn, reverse)]
+    warm = draw(st.lists(st.sampled_from(batch), max_size=8))
+    return warm, batch
+
+
+def _stored_oracle(kind, directory, replication):
+    """A stored oracle over an un-memoised crowd whose votes are independent."""
+    store = AnswerStore(directory, replication=replication, n_shards=2)
+    noise = ProbabilisticNoise(p=0.3, seed=3, persistent=False)
+    if kind == "comparison":
+        inner = ValueComparisonOracle(
+            np.linspace(1.0, 2.0, STORED_N), noise=noise, cache_answers=False
+        )
+        return StoredComparisonOracle(inner, store, counter=QueryCounter(), tag="t")
+    space = PointCloudSpace(np.random.default_rng(1).normal(size=(STORED_N, 2)))
+    inner = DistanceQuadrupletOracle(space, noise=noise, cache_answers=False)
+    return StoredQuadrupletOracle(inner, store, counter=QueryCounter(), tag="t")
+
+
+def _serve_through_codes(oracle, queries):
+    """Serve *queries* through ``_serve_codes``, whatever the batch size."""
+    columns = [np.array(column, dtype=np.int64) for column in zip(*queries)]
+    if len(columns) == 2:
+        codes, flipped, trivial, *canonical = comparison_keys(*columns, len(oracle))
+    else:
+        codes, flipped, trivial, *canonical = quadruplet_keys(*columns, len(oracle))
+    return oracle._serve_codes(
+        codes,
+        flipped,
+        trivial,
+        lambda pos: oracle.inner.compare_batch(*(column[pos] for column in canonical)),
+        oracle.counter,
+        oracle.tag,
+    )
+
+
+def _serve_stored_both_ways(kind, replication, warm, batch, small):
+    """Everything the batch leaves behind, served on the small path or not."""
+    with tempfile.TemporaryDirectory() as directory:
+        oracle = _stored_oracle(kind, directory, replication)
+        if warm:
+            _serve_through_codes(oracle, warm)
+        registry, _ = obs.enable()
+        try:
+            if small:
+                answers = oracle.compare_batch(*(np.array(c) for c in zip(*batch)))
+            else:
+                answers = _serve_through_codes(oracle, batch)
+        finally:
+            obs.disable()
+        counters = registry.snapshot()["counters"]
+        store = oracle.store
+        store.close()
+        wal = {
+            str(path.relative_to(directory)): path.read_bytes()
+            for path in sorted(Path(directory).rglob("*.log"))
+        }
+        return {
+            "answers": answers.tolist(),
+            "counter": oracle.counter.snapshot(),
+            "inner_counter": oracle.inner.counter.snapshot(),
+            "votes": sorted(store.iter_votes()),
+            "wal": wal,
+            "lookups": [counters.get(f"store.lookup_{k}") for k in ("hits", "misses")],
+        }
+
+
+@pytest.mark.parametrize("replication", [1, 3])
+@pytest.mark.parametrize("kind", ["comparison", "quadruplet"])
+@given(data=st.data())
+def test_stored_small_path_matches_vectorised_rounds(kind, replication, data):
+    warm, batch = data.draw(stored_batches(kind))
+    small = _serve_stored_both_ways(kind, replication, warm, batch, small=True)
+    rounds = _serve_stored_both_ways(kind, replication, warm, batch, small=False)
+    assert small == rounds

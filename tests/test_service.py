@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from repro.maximum.count_max import count_max
 from repro.metric.space import PointCloudSpace
 from repro.oracles.comparison import ValueComparisonOracle
 from repro.oracles.counting import QueryCounter
+from repro.oracles.keys import comparison_key
 from repro.oracles.noise import AdversarialNoise, ExactNoise, ProbabilisticNoise
 from repro.oracles.quadruplet import DistanceQuadrupletOracle
 from repro.service import (
@@ -349,6 +351,113 @@ class TestBackendFailure:
                 store.close()
 
         run_async(scenario())
+
+
+#: Queries of the shutdown tests: distinct, ``i < j`` (never flipped).
+_SHUTDOWN_QUERIES = [(0, 10), (1, 11), (2, 12), (3, 13), (4, 14)]
+
+
+def _shutdown_service(store, latency, max_pending=1024):
+    """A stored service where one micro-batch sleeps while others wait.
+
+    One query per micro-batch and one in-flight slot: while the first batch
+    sleeps out its *latency*, the collector holds the second request and
+    the rest wait in the queue (or, past *max_pending*, on it).
+    """
+    backend = ValueComparisonOracle(_values(), noise=ProbabilisticNoise(p=0.3, seed=2))
+    config = ServiceConfig(
+        batch_window=0.0,
+        max_batch_size=1,
+        max_inflight=1,
+        max_pending=max_pending,
+        latency=latency,
+    )
+    return CrowdOracleService(comparison=backend, config=config, store=store)
+
+
+def _check_outcomes_against_store(directory, outcomes):
+    """Answered queries read back from a reopened store; failed ones left no vote.
+
+    *outcomes* maps each query to its answer or its exception; every
+    exception must be :class:`ServiceClosedError`.
+    """
+    answered = {q: a for q, a in outcomes.items() if not isinstance(a, BaseException)}
+    closed = [q for q, a in outcomes.items() if isinstance(a, BaseException)]
+    assert all(isinstance(outcomes[q], ServiceClosedError) for q in closed)
+    reopened = AnswerStore(directory)
+    try:
+        assert reopened.n_votes == len(answered)
+        for (i, j), answer in answered.items():
+            assert reopened.lookup(comparison_key(i, j, len(_values()))[0]) is bool(answer)
+        for i, j in closed:
+            assert reopened.lookup(comparison_key(i, j, len(_values()))[0]) is None
+    finally:
+        reopened.close()
+    return answered, closed
+
+
+class TestShutdownWithWorkInFlight:
+    """``stop()`` while a micro-batch sleeps: it finishes, the queue fails."""
+
+    def test_stop_finishes_in_flight_batches_and_fails_the_queue(self, tmp_path):
+        async def scenario():
+            store = AnswerStore(tmp_path / "s", n_shards=2)
+            # max_pending=2: the fifth producer is blocked on the full queue.
+            service = _shutdown_service(store, latency=0.3, max_pending=2)
+            await service.start()
+            tasks = [
+                asyncio.create_task(service.open_session().compare(i, j))
+                for i, j in _SHUTDOWN_QUERIES
+            ]
+            await asyncio.sleep(0.1)  # the first batch is sleeping now
+            assert service.stats.n_batches == 1
+            await service.stop()
+            _, pending = await asyncio.wait(tasks, timeout=1.0)
+            assert not pending
+            store.close()
+            return [
+                task.exception() if task.exception() else task.result()
+                for task in tasks
+            ]
+
+        results = run_async(scenario())
+        outcomes = dict(zip(_SHUTDOWN_QUERIES, results))
+        answered, closed = _check_outcomes_against_store(tmp_path / "s", outcomes)
+        # The sleeping batch and the request the collector already held are
+        # served; the two queued requests and the blocked producer fail.
+        assert list(answered) == _SHUTDOWN_QUERIES[:2]
+        assert closed == _SHUTDOWN_QUERIES[2:]
+
+    def test_runtime_stop_with_work_in_flight(self, tmp_path):
+        store = AnswerStore(tmp_path / "s", n_shards=2)
+        service = _shutdown_service(store, latency=0.5)
+        runtime = ServiceRuntime(service, default_timeout=GUARD).start()
+        outcomes = {}
+
+        def worker(query):
+            adapter = ServiceComparisonAdapter(runtime, service.open_session())
+            try:
+                outcomes[query] = adapter.compare(*query)
+            except ServiceClosedError as error:
+                outcomes[query] = error
+
+        threads = [threading.Thread(target=worker, args=(q,)) for q in _SHUTDOWN_QUERIES]
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + GUARD
+        while service.stats.n_requests < len(threads) and time.monotonic() < deadline:
+            time.sleep(0.005)
+        runtime.stop()
+        for thread in threads:
+            thread.join(GUARD)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not runtime.running
+        store.close()
+        assert sorted(outcomes) == _SHUTDOWN_QUERIES
+        answered, closed = _check_outcomes_against_store(tmp_path / "s", outcomes)
+        # Which thread's request went first is up to the scheduler; with a
+        # 0.5 s round trip some are in flight and some queued at the stop.
+        assert answered and closed
 
 
 class TestSyncAdapters:

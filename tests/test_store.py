@@ -31,7 +31,7 @@ from repro.exceptions import (
 from repro.kcenter.adversarial import kcenter_adversarial
 from repro.maximum.count_max import count_max
 from repro.metric.space import PointCloudSpace
-from repro.oracles.base import BaseQuadrupletOracle
+from repro.oracles.base import _SMALL_BATCH, BaseQuadrupletOracle
 from repro.oracles.comparison import ValueComparisonOracle
 from repro.oracles.counting import QueryCounter
 from repro.oracles.keys import comparison_key, quadruplet_key
@@ -138,6 +138,11 @@ class TestAnswerStore:
         for pos, code in enumerate(codes):
             scalar = store.lookup(int(code))
             assert (scalar is not None) == resolved[pos]
+        # A list of plain ints (the stored oracles' small-batch path) reads
+        # the same.
+        from_list = store.lookup_batch(codes.tolist())
+        assert [a.tolist() for a in from_list] == [resolved.tolist(), answers.tolist()]
+        store.close()
 
     def test_batch_mixing_new_and_seen_codes_keeps_tallies_and_readout(self, tmp_path):
         # First batch: all-new distinct codes (the bulk insert path).
@@ -742,6 +747,21 @@ class TestRetiredV1Format:
         for name, data in stray.items():
             assert (directory / name).read_bytes() == data
 
+    @pytest.mark.parametrize("stray", ["wal.jsonl", "snapshot.json"])
+    def test_clean_removes_stray_v1_files_so_the_directory_reopens(self, tmp_path, stray):
+        # Left behind by clean(), a stray v1 file would be all that remains
+        # of the store, and the next open would refuse the directory as v1.
+        directory = tmp_path / "s"
+        store = AnswerStore(directory, n_shards=2)
+        store.add_vote(3, True)
+        store.close()
+        files_before = sum(1 for path in directory.rglob("*") if path.is_file())
+        _write_v1(directory, with_wal=stray == "wal.jsonl", with_snapshot=stray != "wal.jsonl")
+        assert store.clean() == files_before + 1  # the stray file counts
+        assert not fmt.is_v1_layout(directory)
+        with AnswerStore(directory) as reopened:
+            assert len(reopened) == 0 and reopened.n_votes == 0
+
 
 def _disjoint_writer(directory, parity, n_votes, barrier, failures):
     """Worker: append *n_votes* votes whose codes all route to one shard."""
@@ -992,17 +1012,25 @@ class TestStoredOracles:
         assert scalar["store.lookup_misses"] == batched["store.lookup_misses"] == 3
         assert scalar == batched
 
+    @pytest.mark.parametrize("path", ["small", "vectorised"])
     @pytest.mark.parametrize("kind", ["comparison", "quadruplet"])
-    def test_budget_overrun_inside_a_batch(self, tmp_path, kind):
+    def test_budget_overrun_inside_a_batch(self, tmp_path, kind, path):
         # The third query repeats the first (a warehouse hit); with budget 3
         # the fifth is the first over-budget charge.  The counter clamps to
         # the scalar loop's prefix, but the warehouse has already stored a
-        # vote for every first-occurrence miss of the whole batch.
+        # vote for every first-occurrence miss of the whole batch.  Six
+        # queries take the small-batch path; padding with free trivial
+        # queries past _SMALL_BATCH takes the vectorised one.
         if kind == "comparison":
             queries = [(0, 1), (1, 2), (0, 1), (2, 3), (3, 4), (4, 5)]
+            trivial = (6, 6)
         else:
             queries = [(0, 1, 2, 3), (1, 2, 3, 4), (0, 1, 2, 3), (2, 3, 4, 5),
                        (3, 4, 5, 6), (4, 5, 6, 7)]
+            trivial = (6, 7, 7, 6)
+        batch = list(queries)
+        if path == "vectorised":
+            batch += [trivial] * (_SMALL_BATCH + 1 - len(queries))
 
         def build(directory):
             store = AnswerStore(directory)
@@ -1027,7 +1055,7 @@ class TestStoredOracles:
                 scalar.compare(*query)
         batch_store, batched = build(tmp_path / "batch")
         with pytest.raises(QueryBudgetExceededError):
-            batched.compare_batch(*(np.array(column) for column in zip(*queries)))
+            batched.compare_batch(*(np.array(column) for column in zip(*batch)))
         assert state(batched) == state(scalar) == (5, 4, 1)
         distinct = list(dict.fromkeys(code(query) for query in queries))
         assert sorted(scalar_store.codes()) == sorted(distinct[:4])
@@ -1067,6 +1095,31 @@ class TestStoredOracles:
             wrapped.compare(0, 11)
         with pytest.raises(InvalidParameterError):
             wrapped.compare_batch([0, 1], [2, 99])
+        store.close()
+
+    @pytest.mark.parametrize("kind", ["comparison", "quadruplet"])
+    @pytest.mark.parametrize("bad", [-1, 10, 99])
+    def test_out_of_range_index_same_error_on_both_paths(self, tmp_path, kind, bad):
+        store = AnswerStore(tmp_path / "s")
+        if kind == "comparison":
+            wrapped = StoredComparisonOracle(
+                ValueComparisonOracle(_values(10), noise=ExactNoise()), store
+            )
+            query = (1, bad)
+        else:
+            wrapped = StoredQuadrupletOracle(_LineQuadrupletOracle(10), store)
+            query = (1, 2, bad, 3)
+        messages = []
+        for m in (1, 3, _SMALL_BATCH, _SMALL_BATCH + 1, 3 * _SMALL_BATCH):
+            columns = [np.full(m, x) for x in query]
+            with pytest.raises(InvalidParameterError) as info:
+                wrapped.compare_batch(*columns)
+            messages.append(str(info.value))
+        with pytest.raises(InvalidParameterError) as info:
+            wrapped.compare(*query)
+        messages.append(str(info.value))
+        assert messages == [f"record index {bad} out of range for oracle over 10 records"] * 6
+        assert wrapped.counter.total_queries == 0 and len(store) == 0
         store.close()
 
     def test_replication_recharges_until_resolved(self, tmp_path):
